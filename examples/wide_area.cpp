@@ -5,7 +5,8 @@
 //  * Only subjects London actually subscribes to cross the ocean.
 //  * London sees New York's subjects under the "ny." namespace (subject transforms).
 //  * Every forwarded message is also written to a stable store-and-forward log.
-//  * A StatsCollector on the ops console watches every daemon on both LANs.
+//  * A busstat aggregator on the London ops console watches every daemon on both
+//    LANs: the routers forward the "_ibus.stats.ts." feed across the WAN.
 //
 // Run:  ./build/examples/wide_area
 #include <cstdio>
@@ -13,9 +14,9 @@
 #include "src/bus/client.h"
 #include "src/bus/daemon.h"
 #include "src/router/router.h"
-#include "src/services/bus_monitor.h"
 #include "src/sim/stable_store.h"
 #include "src/telemetry/busmon.h"
+#include "src/telemetry/busstat.h"
 
 using namespace ibus;  // NOLINT: example brevity
 
@@ -84,27 +85,30 @@ int main() {
   auto logged = forward_log.ReadFrom(0);
   std::printf("store-and-forward log holds %zu forwarded messages\n\n", logged->size());
 
-  // --- Fleet observability: stats reporters on every host, collector in London --------
+  // --- Fleet observability: busstat reporters on every host, aggregator in London ----
+  // The console subscribes first so every node's opening keyframe reaches it; the
+  // subscription's advert must cross the WAN before New York starts reporting.
+  auto ops_bus = BusClient::Connect(&net, ldn_desk, "ops-console").take();
+  auto aggregator = telemetry::StatsAggregator::Create(ops_bus.get()).take();
+  auto mon = telemetry::BusMon::Create(ops_bus.get()).take();
+  mon->AttachRecorder(daemons[3]->flight_recorder());  // ldn-desk's own recorder
+  sim.RunFor(kSecond);
   std::vector<std::unique_ptr<BusClient>> reporter_buses;
-  std::vector<std::unique_ptr<StatsReporter>> reporters;
+  std::vector<std::unique_ptr<telemetry::BusStatReporter>> reporters;
   for (size_t i = 0; i < hosts.size(); ++i) {
     reporter_buses.push_back(
         BusClient::Connect(&net, hosts[i], "stats-" + net.HostName(hosts[i])).take());
-    reporters.push_back(
-        StatsReporter::Create(reporter_buses.back().get(), daemons[i].get(), kSecond).take());
+    reporters.push_back(telemetry::BusStatReporter::Create(
+                            reporter_buses.back().get(), net.HostName(hosts[i]),
+                            daemons[i]->metrics(), &daemons[i]->subject_sketch(),
+                            &daemons[i]->peer_sketch())
+                            .take());
   }
-  auto ops_bus = BusClient::Connect(&net, ldn_desk, "ops-console").take();
-  auto collector = StatsCollector::Create(ops_bus.get()).take();
   sim.RunFor(3 * kSecond);
+  std::printf("--- London ops console: busstat fleet view ---\n%s\n",
+              aggregator->RenderTable().c_str());
 
-  // Stats subjects are bus-internal ("_ibus.") and thus never cross the WAN; the
-  // collector sees its own LAN. (Run a collector per site, or set forward_internal.)
-  std::printf("--- London ops console: local fleet ---\n%s\n",
-              collector->RenderTable().c_str());
-
-  // --- busmon: the full console frame — flows, alerts, and a flight-recorder tail ----
-  auto mon = telemetry::BusMon::Create(ops_bus.get()).take();
-  mon->AttachRecorder(daemons[3]->flight_recorder());  // ldn-desk's own recorder
+  // --- busmon: the full console frame — host tables, alerts, a flight-recorder tail --
   sim.RunFor(3 * kSecond);
   std::printf("--- London ops console: busmon frame ---\n%s\n",
               mon->RenderSnapshot().c_str());

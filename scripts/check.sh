@@ -26,7 +26,7 @@ ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "${JOBS}" -L tier1
 echo "== telemetry tests (ctest -L telemetry; no-op when built with IB_TELEMETRY=OFF)"
 ctest --test-dir "${BUILD_DIR}" --output-on-failure -L telemetry
 
-echo "== health plane tests (ctest -L health: flows, alerts, flight recorder, busmon)"
+echo "== health plane tests (ctest -L health: alerts, flight recorder, busmon)"
 ctest --test-dir "${BUILD_DIR}" --output-on-failure -L health
 
 echo "== wire capture tests (ctest -L capture: tap fates, dissection, buscap goldens)"

@@ -59,22 +59,6 @@ DaemonStats BusDaemon::stats() const {
   return s;
 }
 
-SubjectFlow& BusDaemon::FlowFor(std::string_view subject) {
-  std::string_view root = subject.substr(0, subject.find(kSubjectSeparator));
-  // Heterogeneous lookup: the steady-state (existing flow) path allocates nothing.
-  auto it = flows_.find(root);
-  if (it != flows_.end()) {
-    return it->second;
-  }
-  if (flows_.size() >= kMaxFlowSubjects) {
-    root = kFlowOverflowKey;
-    if (auto ov = flows_.find(root); ov != flows_.end()) {
-      return ov->second;
-    }
-  }
-  return flows_.emplace(root, SubjectFlow{}).first->second;  // hotlint: allow(hot-container-growth) -- first sight of a flow root: once per root, not per message
-}
-
 BusDaemon::~BusDaemon() = default;
 
 void BusDaemon::HandleDatagram(const Datagram& d) {  // hotlint: hot
@@ -220,14 +204,11 @@ void BusDaemon::HandleClientPublish(const Datagram& /*from*/, const Bytes& paylo
   publishes_->Inc();
   publish_bytes_->Inc(payload.size());
   publish_size_->Record(static_cast<int64_t>(payload.size()));
-  // Flow accounting reads only the leading subject field; the payload itself stays
-  // opaque on the send path.
+  // Self-overhead accounting and the flight recorder read only the leading subject
+  // field; the payload itself stays opaque on the send path.
   if (auto subject = Message::PeekSubject(payload); subject.ok()) {
-    SubjectFlow& flow = FlowFor(*subject);
-    flow.publishes++;
-    flow.bytes_in += payload.size();
     // Self-overhead accounting: bytes the observability plane injects through local
-    // clients (trace spans, stats snapshots, health beacons) attribute to
+    // clients (trace spans, stats samples, health beacons) attribute to
     // telemetry.self.* at this choke point.
     if (IsObservabilitySubject(*subject)) {
       self_bytes_->Inc(payload.size());
@@ -296,7 +277,6 @@ void BusDaemon::DispatchInbound(const Bytes& message_bytes) {  // hotlint: hot
       by_client[it->second.client_port].push_back(it->second.client_sub_id);  // hotlint: allow(hot-container-growth) -- per-dispatch fan-out grouping, bounded by matched clients
     }
   }
-  SubjectFlow& flow = FlowFor(msg->subject);
   for (const auto& [port, sub_ids] : by_client) {
     WireWriter w;
     w.PutVarint(sub_ids.size());
@@ -306,8 +286,6 @@ void BusDaemon::DispatchInbound(const Bytes& message_bytes) {  // hotlint: hot
     w.PutRaw(message_bytes);
     socket_->SendTo(host_, port, FrameMessage(kPktClientDeliver, w.Take()));
     deliveries_->Inc();
-    flow.deliveries++;
-    flow.bytes_out += message_bytes.size();
   }
 #if IBUS_TELEMETRY
   if (msg->trace_id != 0) {

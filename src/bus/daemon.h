@@ -49,17 +49,6 @@ struct BusConfig {
   size_t flight_recorder_capacity = 256;
 };
 
-// Per-subject-prefix flow counters (keyed by the subject's root element). The map is
-// capped at kMaxFlowSubjects distinct prefixes; overflow traffic lands in "(other)".
-struct SubjectFlow {
-  uint64_t publishes = 0;   // local client publishes under this prefix
-  uint64_t deliveries = 0;  // client deliveries sent under this prefix
-  uint64_t bytes_in = 0;    // marshalled bytes accepted from local clients
-  uint64_t bytes_out = 0;   // marshalled bytes delivered to local clients
-};
-inline constexpr size_t kMaxFlowSubjects = 64;
-inline constexpr char kFlowOverflowKey[] = "(other)";
-
 // Snapshot of the daemon's registry counters (kept as a struct for callers; the
 // counters themselves live in the daemon's MetricsRegistry — see docs/TELEMETRY.md).
 struct DaemonStats {
@@ -108,9 +97,6 @@ class BusDaemon {
   telemetry::MetricsRegistry* metrics() { return &metrics_; }
   const telemetry::MetricsRegistry& metrics() const { return metrics_; }
 
-  // Per-subject-prefix flow counters, ordered by prefix (deterministic iteration).
-  const std::map<std::string, SubjectFlow, std::less<>>& subject_flows() const { return flows_; }
-
   // The host's flight recorder; protocol components share it.
   telemetry::FlightRecorder* flight_recorder() { return &recorder_; }
   const telemetry::FlightRecorder& flight_recorder() const { return recorder_; }
@@ -132,8 +118,6 @@ class BusDaemon {
 
   // Called by the reliable receiver with every in-order message on the bus.
   void DispatchInbound(const Bytes& message_bytes);
-  // Flow-map entry for `subject`, keyed by its root element (capped; see above).
-  SubjectFlow& FlowFor(std::string_view subject);
   void AnnounceSubscription(bool added, const std::string& pattern,
                             const std::string& client_name);
   void AnswerSubQuery(const Message& query);
@@ -169,7 +153,6 @@ class BusDaemon {
 
   telemetry::MetricsRegistry metrics_;
   telemetry::FlightRecorder recorder_;
-  std::map<std::string, SubjectFlow, std::less<>> flows_;
   telemetry::TopKSketch subject_sketch_;
   telemetry::TopKSketch peer_sketch_;
   // Hot-path instruments, resolved once at construction.

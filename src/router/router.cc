@@ -65,22 +65,6 @@ InfoRouter::InfoRouter(BusClient* bus, std::string name, const RouterConfig& con
   peer_subs_gauge_ = metrics_.GetQueueDepth(kMetricRouterPeerSubs);
 }
 
-SubjectFlow& InfoRouter::FlowFor(std::string_view subject) {
-  std::string_view root = subject.substr(0, subject.find(kSubjectSeparator));
-  // Heterogeneous lookup: the steady-state (existing flow) path allocates nothing.
-  auto it = flows_.find(root);
-  if (it != flows_.end()) {
-    return it->second;
-  }
-  if (flows_.size() >= kMaxFlowSubjects) {
-    root = kFlowOverflowKey;
-    if (auto ov = flows_.find(root); ov != flows_.end()) {
-      return ov->second;
-    }
-  }
-  return flows_.emplace(root, SubjectFlow{}).first->second;  // hotlint: allow(hot-container-growth) -- first sight of a flow root: once per root, not per message
-}
-
 InfoRouter::~InfoRouter() {
   *alive_ = false;
   for (uint64_t sub : control_subs_) {
@@ -374,9 +358,6 @@ void InfoRouter::ForwardToPeer(const Message& m) {  // hotlint: hot
     peer_sketch_.Offer(out.sender);
   }
   link_backlog_.Set(link_->BacklogUs());
-  SubjectFlow& flow = FlowFor(out.subject);
-  flow.publishes++;
-  flow.bytes_in += marshalled.size();
   recorder_.Record(bus_->sim()->Now(), telemetry::FlightEventKind::kPublish, out.subject,
                    "forward bytes=" + std::to_string(marshalled.size()));  // hotlint: allow(hot-string) -- flight-recorder entry: the ring stores owning strings by design
 #if IBUS_TELEMETRY
@@ -394,9 +375,6 @@ void InfoRouter::RepublishFromPeer(Message m) {  // hotlint: hot
   if (!m.sender.empty()) {
     peer_sketch_.Offer(m.sender);
   }
-  SubjectFlow& flow = FlowFor(m.subject);
-  flow.deliveries++;
-  flow.bytes_out += m.payload.size();
   recorder_.Record(bus_->sim()->Now(), telemetry::FlightEventKind::kPublish, m.subject,
                    "republish bytes=" + std::to_string(m.payload.size()));  // hotlint: allow(hot-string) -- flight-recorder entry: the ring stores owning strings by design
 #if IBUS_TELEMETRY

@@ -53,8 +53,7 @@ struct RouterConfig {
   // false: trace spans (so a collector sees the whole path), certified-delivery
   // acks (so certified publishes across a router can retire), health events (so
   // a busmon console anywhere sees the whole fleet's alerts), and busstat
-  // time-series records (so a StatsAggregator anywhere merges the whole fleet;
-  // the legacy per-host "_ibus.stats.<host>" snapshots stay LAN-local).
+  // time-series records (so a StatsAggregator anywhere merges the whole fleet).
   std::vector<std::string> forward_internal_prefixes = {
       kReservedTracePrefix, kReservedCertPrefix, kReservedHealthPrefix,
       kReservedStatsTsPrefix};
@@ -98,10 +97,6 @@ class InfoRouter {
   bool linked() const { return link_ != nullptr && link_->open(); }
   const RouterStats& stats() const { return stats_; }
 
-  // Per-subject-prefix WAN flow counters: `publishes` counts forwards to the peer,
-  // `deliveries` republishes from it (bytes likewise, marshalled sizes).
-  const std::map<std::string, SubjectFlow, std::less<>>& subject_flows() const { return flows_; }
-
   telemetry::FlightRecorder* flight_recorder() { return &recorder_; }
   const telemetry::FlightRecorder& flight_recorder() const { return recorder_; }
 
@@ -134,8 +129,6 @@ class InfoRouter {
   void ApplyPeerAdvert(const std::vector<std::string>& patterns);
   void ForwardToPeer(const Message& m);
   void RepublishFromPeer(Message m);
-  // Flow-map entry for `subject`, keyed by root element (capped like the daemon's).
-  SubjectFlow& FlowFor(std::string_view subject);
   // True for reserved subjects/patterns allowed across the WAN regardless of
   // forward_internal (see RouterConfig::forward_internal_prefixes).
   bool InternalForwardable(const std::string& subject_or_pattern) const;
@@ -168,7 +161,6 @@ class InfoRouter {
   std::map<std::string, uint64_t> peer_subs_;
   std::vector<uint64_t> control_subs_;
   RouterStats stats_;
-  std::map<std::string, SubjectFlow, std::less<>> flows_;
   telemetry::TopKSketch subject_sketch_{telemetry::TopKSketch::kDefaultCapacity};
   telemetry::TopKSketch peer_sketch_{telemetry::TopKSketch::kDefaultCapacity};
   telemetry::MetricsRegistry metrics_;

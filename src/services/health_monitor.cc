@@ -18,7 +18,7 @@ Result<std::unique_ptr<HealthEvaluator>> HealthEvaluator::Create(BusClient* bus,
   }
   auto evaluator =
       std::unique_ptr<HealthEvaluator>(new HealthEvaluator(bus, daemon, config));
-  auto sub = bus->Subscribe(std::string(kReservedStatsPrefix) + ">",
+  auto sub = bus->Subscribe(std::string(kReservedStatsTsPrefix) + ">",
                             [e = evaluator.get()](const Message& m) {
                               e->HandleStatsMessage(m);
                             });
@@ -70,9 +70,9 @@ size_t HealthEvaluator::active_alerts() const {
 }
 
 void HealthEvaluator::HandleStatsMessage(const Message& m) {
-  // The peer's host name is the subject suffix ("_ibus.stats.<host>"); no need to
-  // unmarshal the snapshot just to track feed liveness.
-  constexpr size_t kPrefixLen = sizeof(kReservedStatsPrefix) - 1;
+  // The peer's node name is the subject suffix ("_ibus.stats.ts.<node>"); no need
+  // to decode the sample just to track feed liveness.
+  constexpr size_t kPrefixLen = sizeof(kReservedStatsTsPrefix) - 1;
   if (m.subject.size() <= kPrefixLen) {
     return;
   }

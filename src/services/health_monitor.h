@@ -1,12 +1,12 @@
 // HealthEvaluator: the bus diagnosing itself. Each host runs one next to its daemon;
 // every interval (in simulated time, so deterministically) it evaluates a small rule
 // set over the host's metrics registry — slow consumer (receiver gap rate),
-// retransmit storm, subscription churn, suspected partition (a peer's "_ibus.stats.>"
-// feed going silent) — and publishes typed HealthEvent transitions on the reserved
-// "_ibus.health.>" namespace. Rules are hysteretic: one raise when the value crosses
-// the raise threshold, one clear after it has stayed at/below the clear threshold for
-// clear_hold_intervals consecutive intervals. No flapping while a value oscillates
-// between the two thresholds.
+// retransmit storm, subscription churn, suspected partition (a peer's busstat feed
+// on "_ibus.stats.ts.>" going silent) — and publishes typed HealthEvent transitions
+// on the reserved "_ibus.health.>" namespace. Rules are hysteretic: one raise when
+// the value crosses the raise threshold, one clear after it has stayed at/below the
+// clear threshold for clear_hold_intervals consecutive intervals. No flapping while a
+// value oscillates between the two thresholds.
 #ifndef SRC_SERVICES_HEALTH_MONITOR_H_
 #define SRC_SERVICES_HEALTH_MONITOR_H_
 
@@ -36,7 +36,7 @@ struct HealthConfig {
   int64_t churn_raise = 16;
   int64_t churn_clear = 2;
 
-  // Partition suspected: a peer previously heard on "_ibus.stats.>" has been silent
+  // Partition suspected: a peer previously heard on "_ibus.stats.ts.>" has been silent
   // this long. Must comfortably exceed the fleet's stats reporting interval.
   SimTime peer_silence_us = 3 * kSecond;
 
@@ -50,7 +50,7 @@ struct HealthConfig {
 
 class HealthEvaluator {
  public:
-  // Subscribes to the fleet stats feed (for partition detection) and starts the
+  // Subscribes to the fleet's busstat feed (for partition detection) and starts the
   // periodic evaluation. Fails with kFailedPrecondition when built with
   // -DIB_TELEMETRY=OFF: the health plane is compiled out with the rest of telemetry.
   static Result<std::unique_ptr<HealthEvaluator>> Create(

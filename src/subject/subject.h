@@ -17,7 +17,7 @@ namespace ibus {
 std::vector<std::string> SplitSubject(std::string_view subject);
 
 // The "_ibus" root element is reserved for bus-internal protocols (tracing spans,
-// certified-delivery acks, stats snapshots, elections, subscription gossip). This
+// certified-delivery acks, stats samples, elections, subscription gossip). This
 // header is the single home for the reserved literals; everything else must refer to
 // these constants (enforced by the buslint `reserved-subject` rule).
 inline constexpr std::string_view kReservedElement = "_ibus";  // buslint: allow(reserved-subject)
@@ -26,8 +26,8 @@ inline constexpr char kReservedTracePrefix[] = "_ibus.trace.";  // buslint: allo
 inline constexpr char kReservedCertPrefix[] = "_ibus.cert.";    // buslint: allow(reserved-subject)
 inline constexpr char kReservedElectPrefix[] = "_ibus.elect.";  // buslint: allow(reserved-subject)
 inline constexpr char kReservedStatsPrefix[] = "_ibus.stats.";  // buslint: allow(reserved-subject)
-// Per-node busstat time-series records ("_ibus.stats.ts.<node>"); a sub-namespace of
-// the stats prefix so legacy "_ibus.stats.>" subscribers see (and version-skip) them.
+// Per-node busstat time-series records ("_ibus.stats.ts.<node>"), the one stats feed
+// under the stats prefix.
 inline constexpr char kReservedStatsTsPrefix[] = "_ibus.stats.ts.";  // buslint: allow(reserved-subject)
 inline constexpr char kReservedHealthPrefix[] = "_ibus.health.";  // buslint: allow(reserved-subject)
 inline constexpr char kReservedSubPrefix[] = "_ibus.sub.";      // buslint: allow(reserved-subject)
@@ -37,7 +37,7 @@ inline constexpr char kReservedSubPrefix[] = "_ibus.sub.";      // buslint: allo
 bool IsReservedSubject(std::string_view subject_or_pattern);
 
 // True when the subject belongs to the observability plane itself (trace spans,
-// stats snapshots, health beacons). The daemon classifies every byte it injects
+// stats samples, health beacons). The daemon classifies every byte it injects
 // with this predicate to maintain the telemetry self-overhead counters — the
 // plane measures its own cost (see docs/TELEMETRY.md, "Sampling & sketches").
 bool IsObservabilitySubject(std::string_view subject);

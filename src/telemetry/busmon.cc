@@ -5,7 +5,9 @@
 #include <sstream>
 #include <tuple>
 
+#include "src/bus/daemon.h"
 #include "src/prof/stages.h"
+#include "src/proto/reliable.h"
 #include "src/telemetry/trace.h"
 
 namespace ibus::telemetry {
@@ -15,13 +17,11 @@ namespace {
 constexpr uint64_t kFnvOffset = 1469598103934665603ULL;
 constexpr uint64_t kFnvPrime = 1099511628211ULL;
 
-// A subject prefix's aggregate traffic across every reporting host.
-struct FlowTotal {
-  std::string prefix;
-  uint64_t publishes = 0;
-  uint64_t deliveries = 0;
-  uint64_t bytes = 0;
-};
+// A registry value from a node's latest sample; a metric the node never set reads 0.
+long long ValueOf(const DecodedSample& s, const std::string& name) {
+  auto it = s.values.find(name);
+  return it == s.values.end() ? 0 : static_cast<long long>(it->second);
+}
 
 }  // namespace
 
@@ -32,7 +32,7 @@ Result<std::unique_ptr<BusMon>> BusMon::Create(BusClient* bus, const BusMonOptio
     void (BusMon::*handler)(const Message&);
   };
   const Feed feeds[] = {
-      {std::string(kReservedStatsPrefix) + ">", &BusMon::HandleStats},
+      {std::string(kReservedStatsTsPrefix) + ">", &BusMon::HandleStats},
       {kHealthPattern, &BusMon::HandleHealth},
       {kTracePattern, &BusMon::HandleTrace},
   };
@@ -57,19 +57,7 @@ void BusMon::AttachRecorder(const FlightRecorder* recorder) {
   recorders_.push_back(recorder);
 }
 
-void BusMon::HandleStats(const Message& m) {
-  // The stats namespace carries two record families: legacy full snapshots
-  // ("_ibus.stats.<host>") and busstat time-series samples ("_ibus.stats.ts.*").
-  // Route by leading version byte — the two sets are deliberately disjoint.
-  if (!m.payload.empty() && m.payload[0] == kTsWireVersion) {
-    timeseries_.Consume(m.payload);
-    return;
-  }
-  auto s = DaemonStatsSnapshot::Unmarshal(m.payload);
-  if (s.ok()) {
-    snapshots_[s->host_name] = s.take();
-  }
-}
+void BusMon::HandleStats(const Message& m) { timeseries_.Consume(m.payload); }
 
 void BusMon::HandleHealth(const Message& m) {
   if (m.type_name != kHealthEventType) {
@@ -109,89 +97,55 @@ std::string BusMon::RenderSnapshot() const {
   std::ostringstream out;
   out << "== busmon @ " << bus_->sim()->Now() << "us ==\n";
 
-  out << "hosts (" << snapshots_.size() << "):\n";
+  // Host tables: each node's latest busstat sample, read by registry name.
+  std::vector<const DecodedSample*> hosts;
+  for (const std::string& node : timeseries_.Nodes()) {
+    if (const DecodedSample* s = timeseries_.Latest(node)) {
+      hosts.push_back(s);
+    }
+  }
+  out << "hosts (" << hosts.size() << "):\n";
   out << "  host             pubs   disp  deliv   subs  churn  retrans  gaps\n";
   char line[200];
-  for (const auto& [host, s] : snapshots_) {
-    std::snprintf(line, sizeof(line), "  %-14s %6llu %6llu %6llu %6llu %6llu %8llu %5llu\n",
-                  host.c_str(), static_cast<unsigned long long>(s.publishes),
-                  static_cast<unsigned long long>(s.dispatched),
-                  static_cast<unsigned long long>(s.deliveries),
-                  static_cast<unsigned long long>(s.subscriptions),
-                  static_cast<unsigned long long>(s.sub_churn),
-                  static_cast<unsigned long long>(s.retransmits),
-                  static_cast<unsigned long long>(s.receiver_gaps));
+  for (const DecodedSample* s : hosts) {
+    std::snprintf(line, sizeof(line), "  %-14s %6lld %6lld %6lld %6lld %6lld %8lld %5lld\n",
+                  s->node.c_str(), ValueOf(*s, kMetricPublishes),
+                  ValueOf(*s, kMetricDispatched), ValueOf(*s, kMetricDeliveries),
+                  ValueOf(*s, kMetricSubscriptions), ValueOf(*s, kMetricSubChurn),
+                  ValueOf(*s, kMetricSenderRetransmits), ValueOf(*s, kMetricReceiverGaps));
     out << line;
   }
 
-  // Queue-occupancy plane (snapshot v3): live depth / monotone high-watermark for
-  // each daemon-side protocol queue.
+  // Queue occupancy: live depth / monotone high-watermark for each daemon-side
+  // protocol queue (the "<depth>" and "<depth>.hwm" gauge pairs).
   out << "queue occupancy (depth/hwm):\n";
   out << "  host            retained      batch      ready   partials\n";
-  for (const auto& [host, s] : snapshots_) {
+  const std::string queues[4] = {kMetricSenderRetainedDepth, kMetricSenderBatchDepth,
+                                 kMetricReceiverReadyDepth, kMetricReceiverPartialsDepth};
+  for (const DecodedSample* s : hosts) {
     char cell[4][24];
-    const uint64_t pairs[4][2] = {{s.sender_retained_depth, s.sender_retained_hwm},
-                                  {s.sender_batch_depth, s.sender_batch_hwm},
-                                  {s.receiver_ready_depth, s.receiver_ready_hwm},
-                                  {s.receiver_partials_depth, s.receiver_partials_hwm}};
     for (int i = 0; i < 4; ++i) {
-      std::snprintf(cell[i], sizeof(cell[i]), "%llu/%llu",
-                    static_cast<unsigned long long>(pairs[i][0]),
-                    static_cast<unsigned long long>(pairs[i][1]));
+      std::snprintf(cell[i], sizeof(cell[i]), "%lld/%lld", ValueOf(*s, queues[i]),
+                    ValueOf(*s, queues[i] + ".hwm"));
     }
-    std::snprintf(line, sizeof(line), "  %-14s %9s %10s %10s %10s\n", host.c_str(), cell[0],
-                  cell[1], cell[2], cell[3]);
+    std::snprintf(line, sizeof(line), "  %-14s %9s %10s %10s %10s\n", s->node.c_str(),
+                  cell[0], cell[1], cell[2], cell[3]);
     out << line;
-  }
-
-  // Aggregate per-prefix flows across the fleet and rank by traffic.
-  std::map<std::string, FlowTotal> totals;
-  for (const auto& [host, s] : snapshots_) {
-    for (const SubjectFlowEntry& f : s.flows) {
-      FlowTotal& t = totals[f.prefix];
-      t.prefix = f.prefix;
-      t.publishes += f.publishes;
-      t.deliveries += f.deliveries;
-      t.bytes += f.bytes_in + f.bytes_out;
-    }
-  }
-  std::vector<FlowTotal> ranked;
-  ranked.reserve(totals.size());
-  for (const auto& [prefix, t] : totals) {
-    ranked.push_back(t);
-  }
-  std::sort(ranked.begin(), ranked.end(), [](const FlowTotal& a, const FlowTotal& b) {
-    uint64_t wa = a.publishes + a.deliveries;
-    uint64_t wb = b.publishes + b.deliveries;
-    return wa != wb ? wa > wb : a.prefix < b.prefix;
-  });
-  if (ranked.size() > options_.top_k) {
-    ranked.resize(options_.top_k);
-  }
-  out << "top subjects by flow:\n";
-  for (const FlowTotal& t : ranked) {
-    out << "  " << t.prefix << " pubs=" << t.publishes << " deliv=" << t.deliveries
-        << " bytes=" << t.bytes << "\n";
   }
 
   // The busstat time-series plane: per-node sampling rates plus the merged
   // heavy-hitter sketches. All map-ordered, so the frame stays byte-deterministic.
-  std::vector<std::string> ts_nodes = timeseries_.Nodes();
-  if (ts_nodes.empty()) {
+  const size_t ts_nodes = timeseries_.Nodes().size();
+  if (ts_nodes == 0) {
     out << "stats time series: none\n";
   } else {
-    out << "stats time series (" << ts_nodes.size() << " nodes, "
-        << timeseries_.samples_consumed() << " samples, " << timeseries_.desyncs()
-        << " desyncs):\n";
-    for (const std::string& node : ts_nodes) {
-      const DecodedSample* s = timeseries_.Latest(node);
-      if (s == nullptr) {
-        continue;
-      }
+    out << "stats time series (" << ts_nodes << " nodes, " << timeseries_.samples_consumed()
+        << " samples, " << timeseries_.desyncs() << " desyncs):\n";
+    for (const DecodedSample* s : hosts) {
       const char* sampling = s->sample_period == 0   ? "off"
                              : s->sample_period == 1 ? "all"
                                                      : "1/";
-      out << "  " << node << " seq=" << s->seq << " sampling=" << sampling;
+      out << "  " << s->node << " seq=" << s->seq << " sampling=" << sampling;
       if (s->sample_period > 1) {
         out << s->sample_period;
       }

@@ -1,12 +1,13 @@
 // BusMon: the operator's cluster console, itself just a bus client (the paper's
 // service-application pattern — the bus monitoring the bus). It subscribes to the
-// three reserved observability feeds — "_ibus.stats.>" snapshots, "_ibus.health.>"
-// alert transitions, "_ibus.trace.>" spans — and renders a fleet-wide view: per-host
-// stats table, queue occupancy (depth/high-watermark per daemon protocol queue,
-// from snapshot v3), top-K subject prefixes by flow, active alerts, per-stage
-// latency derived from buffered trace spans (src/prof back-chain decomposition),
-// and excerpts from any locally attached flight recorders. RenderSnapshot() is
-// deterministic under the simulator, so replay checks can hash the whole frame.
+// three reserved observability feeds — "_ibus.stats.ts.>" busstat samples,
+// "_ibus.health.>" alert transitions, "_ibus.trace.>" spans — and renders a
+// fleet-wide view: per-host stats table and queue occupancy (depth/high-watermark
+// per daemon protocol queue), both read from each node's latest busstat sample;
+// the merged heavy-hitter sketches; active alerts; per-stage latency derived from
+// buffered trace spans (src/prof back-chain decomposition); and excerpts from any
+// locally attached flight recorders. RenderSnapshot() is deterministic under the
+// simulator, so replay checks can hash the whole frame.
 #ifndef SRC_TELEMETRY_BUSMON_H_
 #define SRC_TELEMETRY_BUSMON_H_
 
@@ -18,7 +19,6 @@
 #include <vector>
 
 #include "src/bus/client.h"
-#include "src/services/bus_monitor.h"
 #include "src/telemetry/busstat.h"
 #include "src/telemetry/flight_recorder.h"
 #include "src/telemetry/health.h"
@@ -27,7 +27,6 @@
 namespace ibus::telemetry {
 
 struct BusMonOptions {
-  size_t top_k = 5;          // subject prefixes shown in the flow ranking
   size_t recorder_tail = 4;  // events shown per attached flight recorder
   // Hop-record buffer bound: the console keeps the most recent traces (by trace
   // id) for the per-stage latency section and evicts the oldest beyond this.
@@ -49,10 +48,8 @@ class BusMon {
   // with daemons/routers can attach theirs to get a post-mortem excerpt section.
   void AttachRecorder(const FlightRecorder* recorder);
 
-  const std::map<std::string, DaemonStatsSnapshot>& snapshots() const { return snapshots_; }
-  // The embedded busstat aggregator: "_ibus.stats.ts.*" records arriving on the
-  // same stats subscription route here by version byte (kTsWireVersion), giving
-  // the console merged sketches, quantiles, and per-node sampling rates.
+  // The embedded busstat aggregator fed by the stats subscription: every node's
+  // latest sample (the host tables), merged sketches, and sampling rates.
   const StatsAggregator& timeseries() const { return timeseries_; }
   // Raised-and-not-yet-cleared alerts, keyed (kind, node, subject).
   size_t active_alert_count() const { return active_alerts_.size(); }
@@ -78,7 +75,6 @@ class BusMon {
   BusMonOptions options_;
   std::vector<uint64_t> subs_;
 
-  std::map<std::string, DaemonStatsSnapshot> snapshots_;
   StatsAggregator timeseries_;
   std::map<std::tuple<uint8_t, std::string, std::string>, HealthEvent> active_alerts_;
   std::vector<HealthEvent> alert_history_;

@@ -586,7 +586,7 @@ void StatsAggregator::Consume(const Bytes& record) {
   WireReader r(record);
   auto version = r.ReadU8();
   if (!version.ok() || *version != kTsWireVersion) {
-    return;  // foreign record (e.g. a legacy snapshot); not ours to count
+    return;  // foreign record: not ours to count
   }
   auto kind = r.ReadU8();
   auto node = r.ReadString();

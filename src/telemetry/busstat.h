@@ -1,18 +1,15 @@
 // busstat: the scale-ready stats plane (docs/TELEMETRY.md, "Sampling & sketches").
 //
-// Every observability layer before this one is full-fidelity — per-message spans,
-// per-host full snapshots — which cannot survive Internet scale. busstat bounds the
-// cost three ways: fixed-memory sketches (sketch.h), publisher-side trace sampling
-// (trace.h), and this file's periodic time series: each node runs a BusStatReporter
-// that publishes delta-encoded samples of its metrics registry, histograms, and
-// heavy-hitter sketches on the reserved "_ibus.stats.ts.<node>" subject; a
-// StatsAggregator anywhere on the bus decodes the streams and merges sketches and
-// histograms across nodes into one fleet view. The plane observes itself: the
+// Per-message trace spans are full-fidelity, which cannot survive Internet scale.
+// busstat bounds the cost three ways: fixed-memory sketches (sketch.h),
+// publisher-side trace sampling (trace.h), and this file's periodic time series:
+// each node runs a BusStatReporter that publishes delta-encoded samples of its
+// metrics registry, histograms, and heavy-hitter sketches on the reserved
+// "_ibus.stats.ts.<node>" subject; a StatsAggregator anywhere on the bus decodes the
+// streams and merges sketches and histograms across nodes into one fleet view. The plane observes itself: the
 // overhead ratio (telemetry.self.bytes / bus.publish_bytes) rides in every sample.
 //
-// Wire discipline: sample records lead with kTsWireVersion (0xB5), deliberately
-// disjoint from DaemonStatsSnapshot::kWireVersion so legacy "_ibus.stats.>"
-// subscribers (StatsCollector, busmon's host table) version-skip them. Counters and
+// Wire discipline: sample records lead with kTsWireVersion (0xB5). Counters and
 // gauges travel as a name dictionary established by periodic keyframes plus
 // zigzag-varint deltas for changed values in between; histograms travel as sparse
 // log-bucket deltas; sketches are small and ride whole. A decoder that joins late
@@ -32,8 +29,7 @@
 
 namespace ibus::telemetry {
 
-// Leading byte of every time-series record; must stay disjoint from
-// DaemonStatsSnapshot::kWireVersion (see src/services/bus_monitor.h).
+// Leading byte of every time-series record.
 inline constexpr uint8_t kTsWireVersion = 0xB5;
 // A keyframe carries the full dictionary + absolute values; a delta only changes.
 inline constexpr uint8_t kTsKindKeyframe = 1;
@@ -85,10 +81,10 @@ class StatSeriesEncoder {
 // and dropped, never misapplied.
 class StatSeriesDecoder {
  public:
-  // Applies one record. Returns kUnimplemented for foreign version bytes (callers
-  // skip those quietly: legacy snapshots share the stats namespace), kDataLoss for
-  // truncation, kFailedPrecondition for a delta that cannot be applied (no
-  // keyframe yet, or a sequence gap).
+  // Applies one record. Returns kUnimplemented for foreign version bytes (the
+  // payload is input from outside the program; callers skip those quietly),
+  // kDataLoss for truncation, kFailedPrecondition for a delta that cannot be
+  // applied (no keyframe yet, or a sequence gap).
   Status DecodeSample(const Bytes& record);
 
   const DecodedSample& latest() const { return latest_; }
@@ -150,7 +146,7 @@ inline constexpr size_t kStatsRingDepth = 32;
 
 // Merges every node's time series into one fleet view. Either subscribe it on a
 // bus (Create) or embed it and feed records by hand (Consume) — busmon does the
-// latter from its existing stats subscription.
+// latter from its own stats subscription.
 class StatsAggregator {
  public:
   StatsAggregator() = default;

@@ -12,6 +12,7 @@
 #include "src/bus/daemon.h"
 #include "src/sim/network.h"
 #include "src/sim/simulator.h"
+#include "src/telemetry/busstat.h"
 
 namespace ibus {
 
@@ -35,6 +36,20 @@ class BusFixture : public ::testing::Test {
                                      config_);
     EXPECT_TRUE(client.ok()) << client.status().ToString();
     return client.ok() ? client.take() : nullptr;
+  }
+
+  // Host `host_index`'s busstat feed: its daemon's registry and sketches, published
+  // on `bus` as node "host<i>" every `interval_us`. Callers link ibus_busstat.
+  std::unique_ptr<telemetry::BusStatReporter> StartStatReporter(BusClient* bus, int host_index,
+                                                                SimTime interval_us) {
+    const auto h = static_cast<size_t>(host_index);
+    telemetry::BusStatReporterOptions options;
+    options.interval_us = interval_us;
+    auto rep = telemetry::BusStatReporter::Create(
+        bus, net_->HostName(hosts_[h]), daemons_[h]->metrics(), &daemons_[h]->subject_sketch(),
+        &daemons_[h]->peer_sketch(), options);
+    EXPECT_TRUE(rep.ok()) << rep.status().ToString();
+    return rep.ok() ? rep.take() : nullptr;
   }
 
   // Convenience: settle all in-flight traffic (bounded to avoid heartbeat loops).

@@ -1,12 +1,10 @@
 // Always-on pieces of the health plane: the flight recorder ring buffer and JSONL
-// dump, the versioned DaemonStatsSnapshot (typed rejection of unknown versions,
-// v3 queue-occupancy fields), per-subject flow accounting in the daemon, and the
-// busmon console's stats/queue/stage views.
+// dump, the daemon's churn and publish accounting, and the busmon console's
+// stats/queue/stage views over the busstat feed.
 // These must all work with -DIB_TELEMETRY=OFF too — only the evaluator/alert tests
 // (health_test.cc) need telemetry compiled in.
 #include <gtest/gtest.h>
 
-#include "src/services/bus_monitor.h"
 #include "src/telemetry/busmon.h"
 #include "src/telemetry/flight_recorder.h"
 #include "tests/bus_fixture.h"
@@ -83,106 +81,9 @@ TEST(FlightRecorderTest, RenderTailShowsMostRecent) {
   EXPECT_NE(tail.find("sub5"), std::string::npos);
 }
 
-// --- DaemonStatsSnapshot v2 --------------------------------------------------------
-
-TEST(StatsSnapshotTest, RoundTripsV2WithFlows) {
-  DaemonStatsSnapshot s;
-  s.host_name = "host3";
-  s.reported_at = 123456;
-  s.publishes = 10;
-  s.dispatched = 9;
-  s.deliveries = 8;
-  s.subscriptions = 2;
-  s.wire_packets_sent = 20;
-  s.retransmits = 3;
-  s.receiver_gaps = 1;
-  s.sub_churn = 5;
-  s.flows.push_back({"market", 7, 6, 700, 600});
-  s.flows.push_back({"(other)", 1, 0, 64, 0});
-
-  auto back = DaemonStatsSnapshot::Unmarshal(s.Marshal());
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  EXPECT_EQ(back->host_name, "host3");
-  EXPECT_EQ(back->sub_churn, 5u);
-  ASSERT_EQ(back->flows.size(), 2u);
-  EXPECT_EQ(back->flows[0].prefix, "market");
-  EXPECT_EQ(back->flows[0].publishes, 7u);
-  EXPECT_EQ(back->flows[0].bytes_out, 600u);
-  EXPECT_EQ(back->flows[1].prefix, "(other)");
-}
-
-TEST(StatsSnapshotTest, RoundTripsV3QueueOccupancy) {
-  DaemonStatsSnapshot s;
-  s.host_name = "host7";
-  s.sender_retained_depth = 7;
-  s.sender_retained_hwm = 12;
-  s.sender_batch_depth = 1;
-  s.sender_batch_hwm = 4;
-  s.receiver_ready_depth = 0;
-  s.receiver_ready_hwm = 3;
-  s.receiver_partials_depth = 2;
-  s.receiver_partials_hwm = 2;
-
-  auto back = DaemonStatsSnapshot::Unmarshal(s.Marshal());
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  EXPECT_EQ(back->sender_retained_depth, 7u);
-  EXPECT_EQ(back->sender_retained_hwm, 12u);
-  EXPECT_EQ(back->sender_batch_depth, 1u);
-  EXPECT_EQ(back->sender_batch_hwm, 4u);
-  EXPECT_EQ(back->receiver_ready_depth, 0u);
-  EXPECT_EQ(back->receiver_ready_hwm, 3u);
-  EXPECT_EQ(back->receiver_partials_depth, 2u);
-  EXPECT_EQ(back->receiver_partials_hwm, 2u);
-}
-
-TEST(StatsSnapshotTest, RejectsUnknownVersionWithTypedError) {
-  DaemonStatsSnapshot s;
-  s.host_name = "h";
-  Bytes b = s.Marshal();
-  ASSERT_FALSE(b.empty());
-  b[0] = 99;  // an unknown future version
-  auto back = DaemonStatsSnapshot::Unmarshal(b);
-  ASSERT_FALSE(back.ok());
-  EXPECT_EQ(back.status().code(), StatusCode::kUnimplemented);
-
-  // Truncation stays a distinct (data-loss) failure.
-  Bytes truncated(b.begin(), b.begin() + 1);
-  truncated[0] = DaemonStatsSnapshot::kWireVersion;
-  auto short_read = DaemonStatsSnapshot::Unmarshal(truncated);
-  ASSERT_FALSE(short_read.ok());
-  EXPECT_EQ(short_read.status().code(), StatusCode::kDataLoss);
-}
-
-// --- Daemon flow accounting --------------------------------------------------------
+// --- Daemon churn and publish accounting -------------------------------------------
 
 class FlowAccountingTest : public BusFixture {};
-
-TEST_F(FlowAccountingTest, DaemonCountsPerSubjectPrefix) {
-  SetUpBus(2);
-  auto pub = MakeClient(0, "pub");
-  auto sub = MakeClient(1, "sub");
-  ASSERT_TRUE(sub->Subscribe("market.>", [](const Message&) {}).ok());
-  Settle();
-  for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(pub->Publish("market.equity.gmc", ToBytes("x")).ok());
-  }
-  ASSERT_TRUE(pub->Publish("news.equity.gmc", ToBytes("y")).ok());
-  Settle();
-
-  const auto& pub_flows = daemons_[0]->subject_flows();
-  ASSERT_TRUE(pub_flows.count("market"));
-  EXPECT_EQ(pub_flows.at("market").publishes, 5u);
-  EXPECT_GT(pub_flows.at("market").bytes_in, 0u);
-  ASSERT_TRUE(pub_flows.count("news"));
-  EXPECT_EQ(pub_flows.at("news").publishes, 1u);
-
-  const auto& sub_flows = daemons_[1]->subject_flows();
-  ASSERT_TRUE(sub_flows.count("market"));
-  EXPECT_EQ(sub_flows.at("market").deliveries, 5u);
-  EXPECT_GT(sub_flows.at("market").bytes_out, 0u);
-  // "news.>" had no subscriber on host1: no delivery flow there.
-  EXPECT_EQ(sub_flows.count("news"), 0u);
-}
 
 TEST_F(FlowAccountingTest, SubscriptionChurnIsCounted) {
   SetUpBus(1);
@@ -223,19 +124,17 @@ TEST_F(BusMonTest, RendersFleetStatsAndTopFlows) {
   auto sub = MakeClient(1, "sub");
   ASSERT_TRUE(sub->Subscribe("market.>", [](const Message&) {}).ok());
 
-  std::vector<std::unique_ptr<BusClient>> ops;
-  std::vector<std::unique_ptr<StatsReporter>> reporters;
-  for (int i = 0; i < 2; ++i) {
-    ops.push_back(MakeClient(i, "ops" + std::to_string(i)));
-    auto rep = StatsReporter::Create(ops.back().get(), daemons_[static_cast<size_t>(i)].get(),
-                                     500 * kMillisecond);
-    ASSERT_TRUE(rep.ok()) << rep.status().ToString();
-    reporters.push_back(rep.take());
-  }
+  // The console subscribes before the reporters start, so it sees their keyframes.
   auto mon_bus = MakeClient(0, "busmon");
   auto mon = telemetry::BusMon::Create(mon_bus.get());
   ASSERT_TRUE(mon.ok()) << mon.status().ToString();
   (*mon)->AttachRecorder(daemons_[0]->flight_recorder());
+  std::vector<std::unique_ptr<BusClient>> ops;
+  std::vector<std::unique_ptr<telemetry::BusStatReporter>> reporters;
+  for (int i = 0; i < 2; ++i) {
+    ops.push_back(MakeClient(i, "ops" + std::to_string(i)));
+    reporters.push_back(StartStatReporter(ops.back().get(), i, 500 * kMillisecond));
+  }
 
   Settle();
   for (int i = 0; i < 8; ++i) {
@@ -243,12 +142,13 @@ TEST_F(BusMonTest, RendersFleetStatsAndTopFlows) {
   }
   Settle();
 
-  ASSERT_EQ((*mon)->snapshots().size(), 2u);
+  ASSERT_EQ((*mon)->timeseries().Nodes().size(), 2u);
   const std::string frame = (*mon)->RenderSnapshot();
-  EXPECT_NE(frame.find("host0"), std::string::npos);
-  EXPECT_NE(frame.find("host1"), std::string::npos);
-  EXPECT_NE(frame.find("top subjects by flow:"), std::string::npos);
-  EXPECT_NE(frame.find("market"), std::string::npos);
+  EXPECT_NE(frame.find("hosts (2):"), std::string::npos);
+  EXPECT_NE(frame.find("\n  host0 "), std::string::npos);
+  EXPECT_NE(frame.find("\n  host1 "), std::string::npos);
+  EXPECT_NE(frame.find("top subjects (heavy-hitter sketch):"), std::string::npos);
+  EXPECT_NE(frame.find("market.equity.gmc"), std::string::npos);
   EXPECT_NE(frame.find("flight recorder daemon@0"), std::string::npos);
 #if IBUS_TELEMETRY
   EXPECT_NE(frame.find("active alerts: none"), std::string::npos);
@@ -264,18 +164,15 @@ TEST_F(BusMonTest, RendersQueueOccupancyFromSnapshots) {
   auto sub = MakeClient(1, "sub");
   ASSERT_TRUE(sub->Subscribe("fab5.>", [](const Message&) {}).ok());
 
-  std::vector<std::unique_ptr<BusClient>> ops;
-  std::vector<std::unique_ptr<StatsReporter>> reporters;
-  for (int i = 0; i < 2; ++i) {
-    ops.push_back(MakeClient(i, "ops" + std::to_string(i)));
-    auto rep = StatsReporter::Create(ops.back().get(), daemons_[static_cast<size_t>(i)].get(),
-                                     500 * kMillisecond);
-    ASSERT_TRUE(rep.ok()) << rep.status().ToString();
-    reporters.push_back(rep.take());
-  }
   auto mon_bus = MakeClient(0, "busmon");
   auto mon = telemetry::BusMon::Create(mon_bus.get());
   ASSERT_TRUE(mon.ok()) << mon.status().ToString();
+  std::vector<std::unique_ptr<BusClient>> ops;
+  std::vector<std::unique_ptr<telemetry::BusStatReporter>> reporters;
+  for (int i = 0; i < 2; ++i) {
+    ops.push_back(MakeClient(i, "ops" + std::to_string(i)));
+    reporters.push_back(StartStatReporter(ops.back().get(), i, 500 * kMillisecond));
+  }
 
   Settle();
   for (int i = 0; i < 6; ++i) {
@@ -283,15 +180,16 @@ TEST_F(BusMonTest, RendersQueueOccupancyFromSnapshots) {
   }
   Settle();
 
-  ASSERT_EQ((*mon)->snapshots().size(), 2u);
+  ASSERT_EQ((*mon)->timeseries().Nodes().size(), 2u);
   const std::string frame = (*mon)->RenderSnapshot();
   EXPECT_NE(frame.find("queue occupancy (depth/hwm):"), std::string::npos);
   EXPECT_NE(frame.find("retained"), std::string::npos);
   EXPECT_NE(frame.find("partials"), std::string::npos);
 #if IBUS_TELEMETRY
   // The publisher host retains unacked packets, so its retained hwm is nonzero.
-  const DaemonStatsSnapshot& s0 = (*mon)->snapshots().at("host0");
-  EXPECT_GT(s0.sender_retained_hwm, 0u);
+  const telemetry::DecodedSample* s0 = (*mon)->timeseries().Latest("host0");
+  ASSERT_NE(s0, nullptr);
+  EXPECT_GT(s0->values.at(std::string(kMetricSenderRetainedDepth) + ".hwm"), 0);
 #endif
 }
 

@@ -352,7 +352,7 @@ TEST(StatSeries, SequenceGapDesyncsUntilNextKeyframe) {
 
 TEST(StatSeries, ForeignVersionByteIsSkippedQuietly) {
   StatSeriesDecoder dec;
-  Bytes legacy = {3, 1, 2, 3};  // DaemonStatsSnapshot::kWireVersion leads
+  Bytes legacy = {3, 1, 2, 3};  // a retired stats_snapshot version byte leads
   Status s = dec.DecodeSample(legacy);
   EXPECT_FALSE(s.ok());
   EXPECT_EQ(dec.desyncs(), 0u) << "foreign records are not desyncs";
@@ -451,7 +451,7 @@ TEST(BusstatScenario, SamplingThinsTraceTrafficButNotGoodput) {
   EXPECT_LT(run_sampled.traces_collected, 20u);
 #else
   // With tracing compiled out there is nothing to thin: the plane's residual cost
-  // (stats snapshots + time-series samples) is identical at every sampling rate.
+  // (the time-series samples) is identical at every sampling rate.
   EXPECT_EQ(run_sampled.self_bytes, run_all.self_bytes);
 #endif
 }

@@ -12,7 +12,6 @@
 #include "src/bus/message.h"
 #include "src/capture/capture.h"
 #include "src/journal/format.h"
-#include "src/services/bus_monitor.h"
 #include "src/telemetry/busstat.h"
 #include "src/telemetry/health.h"
 #include "src/telemetry/metrics.h"
@@ -54,15 +53,6 @@ TEST(DecodeSafety, HealthEventRejectsTrailingGarbage) {
   EXPECT_FALSE(telemetry::HealthEvent::Unmarshal(b).ok());
 }
 
-TEST(DecodeSafety, StatsSnapshotRejectsTrailingGarbage) {
-  DaemonStatsSnapshot s;
-  s.host_name = "h";
-  Bytes b = s.Marshal();
-  ASSERT_TRUE(DaemonStatsSnapshot::Unmarshal(b).ok());
-  b.push_back(0x01);
-  EXPECT_FALSE(DaemonStatsSnapshot::Unmarshal(b).ok());
-}
-
 TEST(DecodeSafety, CaptureRejectsTrailingGarbage) {
   Bytes b = capture::SerializeCapture({});
   ASSERT_TRUE(capture::DeserializeCapture(b).ok());
@@ -71,22 +61,6 @@ TEST(DecodeSafety, CaptureRejectsTrailingGarbage) {
 }
 
 // --- garbage counts: must fail fast, not allocate or loop on the count -----------
-
-TEST(DecodeSafety, StatsSnapshotRejectsImplausibleFlowCount) {
-  DaemonStatsSnapshot s;
-  s.host_name = "h";
-  Bytes valid = s.Marshal();
-  // Rebuild the snapshot with the trailing flow count replaced by a huge
-  // varint. Everything before the count is byte-identical, so chop the old
-  // count (one varint byte for zero flows) and splice in the poison.
-  Bytes b(valid.begin(), valid.end() - 1);
-  WireWriter w;
-  w.PutVarint(0xFFFFFFFFFFFFull);
-  Bytes poison = w.Take();
-  b.insert(b.end(), poison.begin(), poison.end());
-  auto out = DaemonStatsSnapshot::Unmarshal(b);
-  ASSERT_FALSE(out.ok());
-}
 
 TEST(DecodeSafety, JournalBlockRejectsImplausibleRecordCount) {
   WireWriter w;

@@ -5,7 +5,6 @@
 #include "src/rmi/client.h"
 #include "src/rmi/election.h"
 #include "src/rmi/server.h"
-#include "src/services/bus_monitor.h"
 #include "src/services/type_gossip.h"
 #include "tests/bus_fixture.h"
 
@@ -293,17 +292,15 @@ class BusMonitorTest : public BusFixture {};
 
 TEST_F(BusMonitorTest, CollectorAggregatesFleetStats) {
   SetUpBus(3);
+  // The aggregator subscribes first so every node's opening keyframe reaches it.
+  auto ops_bus = MakeClient(2, "ops-console");
+  auto collector = telemetry::StatsAggregator::Create(ops_bus.get()).take();
   std::vector<std::unique_ptr<BusClient>> reporter_buses;
-  std::vector<std::unique_ptr<StatsReporter>> reporters;
+  std::vector<std::unique_ptr<telemetry::BusStatReporter>> reporters;
   for (int i = 0; i < 3; ++i) {
     reporter_buses.push_back(MakeClient(i, "reporter" + std::to_string(i)));
-    reporters.push_back(StatsReporter::Create(reporter_buses.back().get(),
-                                              daemons_[static_cast<size_t>(i)].get(),
-                                              500 * kMillisecond)
-                            .take());
+    reporters.push_back(StartStatReporter(reporter_buses.back().get(), i, 500 * kMillisecond));
   }
-  auto ops_bus = MakeClient(2, "ops-console");
-  auto collector = StatsCollector::Create(ops_bus.get()).take();
   Settle(100 * kMillisecond);
 
   // Generate traffic so counters move.
@@ -316,12 +313,14 @@ TEST_F(BusMonitorTest, CollectorAggregatesFleetStats) {
   }
   Settle(3 * kSecond);
 
-  ASSERT_EQ(collector->snapshots().size(), 3u);
-  const auto& h0 = collector->snapshots().at("host0");
-  const auto& h1 = collector->snapshots().at("host1");
-  EXPECT_GE(h0.publishes, 10u);        // the publisher's daemon accepted our traffic
-  EXPECT_GE(h1.deliveries, 10u);       // the subscriber's daemon delivered it
-  EXPECT_GE(h1.subscriptions, 1u);
+  ASSERT_EQ(collector->Nodes().size(), 3u);
+  const telemetry::DecodedSample* h0 = collector->Latest("host0");
+  const telemetry::DecodedSample* h1 = collector->Latest("host1");
+  ASSERT_NE(h0, nullptr);
+  ASSERT_NE(h1, nullptr);
+  EXPECT_GE(h0->values.at(kMetricPublishes), 10);  // the publisher's daemon accepted our traffic
+  EXPECT_GE(h1->values.at(kMetricDeliveries), 10);  // the subscriber's daemon delivered it
+  EXPECT_GE(h1->values.at(kMetricSubscriptions), 1);
   std::string table = collector->RenderTable();
   EXPECT_NE(table.find("host0"), std::string::npos);
   EXPECT_NE(table.find("host2"), std::string::npos);
@@ -331,17 +330,17 @@ TEST_F(BusMonitorTest, ReporterStopsWithObject) {
   SetUpBus(1);
   auto bus = MakeClient(0, "r");
   auto collector_bus = MakeClient(0, "c");
-  auto collector = StatsCollector::Create(collector_bus.get()).take();
+  auto collector = telemetry::StatsAggregator::Create(collector_bus.get()).take();
   uint64_t published;
   {
-    auto reporter =
-        StatsReporter::Create(bus.get(), daemons_[0].get(), 100 * kMillisecond).take();
+    auto reporter = StartStatReporter(bus.get(), 0, 100 * kMillisecond);
     Settle(kSecond);
-    published = reporter->reports_published();
+    published = reporter->samples_published();
     EXPECT_GT(published, 5u);
   }
   Settle(kSecond);  // destroyed reporter publishes nothing further
-  EXPECT_EQ(collector->snapshots().size(), 1u);
+  EXPECT_EQ(collector->samples_consumed(), published);
+  EXPECT_EQ(collector->Nodes().size(), 1u);
 }
 
 }  // namespace

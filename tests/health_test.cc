@@ -192,9 +192,8 @@ TEST_F(HealthEvaluatorTest, PartitionSuspectedWhenPeerStatsGoSilent) {
   auto ev = HealthEvaluator::Create(ops0.get(), daemons_[0].get(), hc);
   ASSERT_TRUE(ev.ok()) << ev.status().ToString();
 
-  auto rep = StatsReporter::Create(ops1.get(), daemons_[1].get(), 500 * kMillisecond);
-  ASSERT_TRUE(rep.ok()) << rep.status().ToString();
-  auto reporter = rep.take();
+  auto reporter = StartStatReporter(ops1.get(), 1, 500 * kMillisecond);
+  ASSERT_NE(reporter, nullptr);
 
   Settle(2 * kSecond);
   ASSERT_EQ((*ev)->events_published(), 0u);
@@ -210,14 +209,46 @@ TEST_F(HealthEvaluatorTest, PartitionSuspectedWhenPeerStatsGoSilent) {
   EXPECT_EQ((*ev)->active_alerts(), 1u);
 
   // The feed comes back; the alert retires after the hysteresis hold.
-  rep = StatsReporter::Create(ops1.get(), daemons_[1].get(), 500 * kMillisecond);
-  ASSERT_TRUE(rep.ok()) << rep.status().ToString();
-  reporter = rep.take();
+  reporter = StartStatReporter(ops1.get(), 1, 500 * kMillisecond);
+  ASSERT_NE(reporter, nullptr);
   Settle(3 * kSecond);
   ASSERT_EQ((*ev)->events_published(), 2u);
   EXPECT_EQ((*ev)->events()[1].kind, HealthEventKind::kPartitionSuspected);
   EXPECT_EQ((*ev)->events()[1].severity, HealthSeverity::kClear);
   EXPECT_EQ((*ev)->active_alerts(), 0u);
+}
+
+// The partition rule names a peer by its busstat node, and never suspects the
+// evaluating host's own feed.
+TEST_F(HealthEvaluatorTest, PartitionAlertNamesPeerNodeAndIgnoresOwnFeed) {
+  SetUpBus(2);
+  auto ops0 = MakeClient(0, "ops0");
+  auto ops1 = MakeClient(1, "ops1");
+
+  HealthConfig hc;
+  hc.interval_us = 250 * kMillisecond;
+  hc.peer_silence_us = 2 * kSecond;
+  auto ev = HealthEvaluator::Create(ops0.get(), daemons_[0].get(), hc);
+  ASSERT_TRUE(ev.ok()) << ev.status().ToString();
+  auto own = StartStatReporter(ops0.get(), 0, 500 * kMillisecond);
+  auto peer = StartStatReporter(ops1.get(), 1, 500 * kMillisecond);
+  ASSERT_NE(own, nullptr);
+  ASSERT_NE(peer, nullptr);
+  Settle(2 * kSecond);
+  ASSERT_EQ((*ev)->events_published(), 0u);
+
+  // host1's feed dies: exactly one alert, naming the node, not the feed suffix.
+  peer.reset();
+  Settle(3 * kSecond);
+  ASSERT_EQ((*ev)->events_published(), 1u);
+  EXPECT_EQ((*ev)->events()[0].kind, HealthEventKind::kPartitionSuspected);
+  EXPECT_EQ((*ev)->events()[0].subject, "host1");
+
+  // host0's own feed dies: the evaluating host is not its own peer.
+  own.reset();
+  Settle(3 * kSecond);
+  EXPECT_EQ((*ev)->events_published(), 1u);
+  EXPECT_EQ((*ev)->active_alerts(), 1u);
 }
 
 }  // namespace

@@ -24,12 +24,12 @@
 #include "src/prof/demo.h"
 #include "src/prof/stages.h"
 #include "src/router/router.h"
-#include "src/services/bus_monitor.h"
 #include "src/services/health_monitor.h"
 #include "src/sim/network.h"
 #include "src/sim/simulator.h"
 #include "src/sim/stable_store.h"
 #include "src/telemetry/busmon.h"
+#include "src/telemetry/busstat.h"
 #include "src/telemetry/busstat_demo.h"
 #include "src/telemetry/collector.h"
 #include "src/telemetry/health.h"
@@ -346,11 +346,15 @@ std::vector<std::string> RunHealthPlaneScenario(uint64_t seed) {
   hc.retransmit_raise = 4;
   hc.clear_hold_intervals = 4;  // 1s of clean intervals before an alert retires
   std::vector<std::unique_ptr<BusClient>> ops;
-  std::vector<std::unique_ptr<StatsReporter>> reporters;
+  std::vector<std::unique_ptr<telemetry::BusStatReporter>> reporters;
   std::vector<std::unique_ptr<HealthEvaluator>> evaluators;
   for (int i = 0; i < 3; ++i) {
     ops.push_back(MustConnect(&net, hosts[i], "ops" + std::to_string(i)));
-    auto rep = StatsReporter::Create(ops.back().get(), daemons[i].get(), 500 * kMillisecond);
+    telemetry::BusStatReporterOptions ro;
+    ro.interval_us = 500 * kMillisecond;
+    auto rep = telemetry::BusStatReporter::Create(
+        ops.back().get(), "host" + std::to_string(i), daemons[i]->metrics(),
+        &daemons[i]->subject_sketch(), &daemons[i]->peer_sketch(), ro);
     EXPECT_TRUE(rep.ok()) << rep.status().ToString();
     reporters.push_back(rep.take());
     auto ev = HealthEvaluator::Create(ops.back().get(), daemons[i].get(), hc);

@@ -71,6 +71,12 @@ struct MatchCase {
   bool expect;
 };
 
+// gtest prints each parameter into the test list and ctest names the case after that
+// text, so print the inputs ("a.*.c vs a.b.c -> true"), never the pointer bytes.
+void PrintTo(const MatchCase& c, std::ostream* os) {
+  *os << c.pattern << " vs " << c.subject << " -> " << (c.expect ? "true" : "false");
+}
+
 class SubjectMatchTest : public ::testing::TestWithParam<MatchCase> {};
 
 TEST_P(SubjectMatchTest, Matches) {
@@ -100,6 +106,10 @@ struct CoverCase {
   const char* narrow;
   bool expect;
 };
+
+void PrintTo(const CoverCase& c, std::ostream* os) {
+  *os << c.wide << " covers " << c.narrow << " -> " << (c.expect ? "true" : "false");
+}
 
 class PatternCoverTest : public ::testing::TestWithParam<CoverCase> {};
 

@@ -15,7 +15,6 @@
 #include "src/journal/format.h"
 #include "src/proto/packets.h"
 #include "src/rmi/protocol.h"
-#include "src/services/bus_monitor.h"
 #include "src/telemetry/busstat.h"
 #include "src/telemetry/health.h"
 #include "src/telemetry/metrics.h"
@@ -128,18 +127,6 @@ std::vector<Target> Targets() {
                      return telemetry::TopKSketch::Decode(&r).ok();
                    },
                    false});
-  }
-
-  {
-    DaemonStatsSnapshot s;
-    s.host_name = "host-1";
-    s.publishes = 5;
-    SubjectFlowEntry f;
-    f.prefix = "market";
-    f.publishes = 3;
-    s.flows.push_back(f);
-    out.push_back({"stats_snapshot", s.Marshal(),
-                   [](const Bytes& b) { return DaemonStatsSnapshot::Unmarshal(b).ok(); }, true});
   }
 
   {

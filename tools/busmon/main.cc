@@ -1,8 +1,8 @@
 // busmon: the operator's live console for a bus fleet, demonstrated against a
 // self-contained simulated LAN that rides through a lossy episode. Every host runs a
-// StatsReporter and (when telemetry is compiled in) a HealthEvaluator; busmon
+// BusStatReporter and (when telemetry is compiled in) a HealthEvaluator; busmon
 // subscribes to the reserved stats/health/trace feeds and renders the fleet table,
-// top subjects by flow, active alerts, and a flight-recorder excerpt.
+// top subjects, active alerts, and a flight-recorder excerpt.
 //
 //   busmon --snapshot            # one deterministic frame at the end of the run
 //   busmon --live                # a frame every simulated second
@@ -18,7 +18,6 @@
 #include "src/bus/daemon.h"
 #include "src/common/bytes.h"
 #include "src/common/rng.h"
-#include "src/services/bus_monitor.h"
 #include "src/services/health_monitor.h"
 #include "src/sim/network.h"
 #include "src/sim/simulator.h"
@@ -79,36 +78,27 @@ int main(int argc, char** argv) {
   hc.retransmit_raise = 4;
   hc.clear_hold_intervals = 4;
   std::vector<std::unique_ptr<BusClient>> ops;
-  std::vector<std::unique_ptr<StatsReporter>> reporters;
+  std::vector<std::unique_ptr<telemetry::BusStatReporter>> reporters;
   std::vector<std::unique_ptr<HealthEvaluator>> evaluators;
   for (int i = 0; i < 3; ++i) {
     ops.push_back(BusClient::Connect(&net, hosts[i], "ops" + std::to_string(i)).take());
-    reporters.push_back(
-        StatsReporter::Create(ops.back().get(), daemons[i].get(), 500 * kMillisecond).take());
-    auto ev = HealthEvaluator::Create(ops.back().get(), daemons[i].get(), hc);
-    if (ev.ok()) {
-      evaluators.push_back(ev.take());
-    } else if (i == 0) {
-      // Built with IB_TELEMETRY=OFF: stats and flows still flow, alerts don't.
-      std::fprintf(stderr, "note: %s\n", ev.status().ToString().c_str());
-    }
-  }
-  // The busstat time-series plane beside the legacy snapshots: sketches, delta
-  // streams, and the advertised trace-sampling rate feed the console's new section.
-  std::vector<std::unique_ptr<telemetry::BusStatReporter>> ts_reporters;
-  for (int i = 0; i < 3; ++i) {
     telemetry::BusStatReporterOptions topts;
     topts.sample_period = config.trace_sample_period;
     auto rep = telemetry::BusStatReporter::Create(
-        ops[static_cast<size_t>(i)].get(), "host" + std::to_string(i),
-        daemons[static_cast<size_t>(i)]->metrics(),
-        &daemons[static_cast<size_t>(i)]->subject_sketch(),
-        &daemons[static_cast<size_t>(i)]->peer_sketch(), topts);
+        ops.back().get(), "host" + std::to_string(i), daemons[i]->metrics(),
+        &daemons[i]->subject_sketch(), &daemons[i]->peer_sketch(), topts);
     if (!rep.ok()) {
       std::fprintf(stderr, "busstat reporter failed: %s\n", rep.status().ToString().c_str());
       return 1;
     }
-    ts_reporters.push_back(rep.take());
+    reporters.push_back(rep.take());
+    auto ev = HealthEvaluator::Create(ops.back().get(), daemons[i].get(), hc);
+    if (ev.ok()) {
+      evaluators.push_back(ev.take());
+    } else if (i == 0) {
+      // Built with IB_TELEMETRY=OFF: stats still flow, alerts don't.
+      std::fprintf(stderr, "note: %s\n", ev.status().ToString().c_str());
+    }
   }
 
   auto mon_bus = BusClient::Connect(&net, hosts[0], "busmon").take();
