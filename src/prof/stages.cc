@@ -9,8 +9,8 @@ using telemetry::HopRecord;
 
 const char* StageName(StageKind k) {
   switch (k) {
-    case StageKind::kPublishMarshal:
-      return "publish_marshal";
+    case StageKind::kPublishLoopback:
+      return "publish_loopback";
     case StageKind::kDaemonQueue:
       return "daemon_queue";
     case StageKind::kMediumTransit:
@@ -21,8 +21,8 @@ const char* StageName(StageKind k) {
       return "router_republish";
     case StageKind::kRetransmitRepair:
       return "retransmit_repair";
-    case StageKind::kDeliverDispatch:
-      return "deliver_dispatch";
+    case StageKind::kDeliverLoopback:
+      return "deliver_loopback";
     case StageKind::kUnattributed:
       return "unattributed";
   }
@@ -93,7 +93,7 @@ std::vector<PathProfile> DecomposeTimeline(const std::vector<HopRecord>& timelin
       out.push_back(p);
       continue;
     }
-    p.stages[StageKind::kDeliverDispatch] += deliver.at_us - dispatch->at_us;
+    p.stages[StageKind::kDeliverLoopback] += deliver.at_us - dispatch->at_us;
     while (true) {
       const HopRecord* ws = FindLatest(timeline, HopKind::kWireSend, level, dispatch->at_us);
       if (ws == nullptr) {
@@ -107,7 +107,7 @@ std::vector<PathProfile> DecomposeTimeline(const std::vector<HopRecord>& timelin
       }
       if (level == 0) {
         if (publish != nullptr && publish->at_us <= ws->at_us) {
-          p.stages[StageKind::kPublishMarshal] += ws->at_us - publish->at_us;
+          p.stages[StageKind::kPublishLoopback] += ws->at_us - publish->at_us;
         } else {
           p.stages[StageKind::kUnattributed] += ws->at_us - start;
         }

@@ -23,19 +23,19 @@ namespace ibus::prof {
 // Where a microsecond of end-to-end latency was spent. Order is the rendering
 // order of every report; do not renumber.
 enum class StageKind : uint8_t {
-  kPublishMarshal = 0,   // client accepted the publish -> daemon handed it to the wire
+  kPublishLoopback = 0,  // client->daemon loopback IPC: publish accepted -> on the wire
   kDaemonQueue = 1,      // held in daemon queues (sync hold, in-order drain, batching)
   kMediumTransit = 2,    // serialization + propagation + medium queueing (LAN or WAN)
   kRouterForward = 3,    // origin-LAN dispatch -> router sent it over the WAN link
   kRouterRepublish = 4,  // router re-injected it -> far daemon handed it to the wire
   kRetransmitRepair = 5, // lost first attempt -> the retransmission that landed
-  kDeliverDispatch = 6,  // daemon matched subscriptions -> subscriber handler ran
+  kDeliverLoopback = 6,  // daemon->client loopback IPC: daemon matched -> handler ran
   kUnattributed = 7,     // remainder that could not be anchored to a hop
 };
 
 inline constexpr size_t kStageCount = 8;
 
-// Stable lower-case stage name ("publish_marshal", ...), used by every report.
+// Stable lower-case stage name ("publish_loopback", ...), used by every report.
 const char* StageName(StageKind k);
 
 // Integer-µs stage vector for one delivery path.

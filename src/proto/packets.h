@@ -51,7 +51,7 @@ struct BatchPacket {
 
 struct HeartbeatPacket {
   uint64_t stream_id = 0;
-  uint64_t highest_seq = 0;     // last sequence published (0 = none yet)
+  uint64_t highest_seq = 0;     // last sequence sent on the wire (0 = none yet)
   uint64_t lowest_retained = 0; // oldest sequence still retransmittable
 
   Bytes Marshal() const;

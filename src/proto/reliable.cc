@@ -168,9 +168,9 @@ void ReliableSender::HandleNak(const NakPacket& nak, HostId /*from_host*/,
   const uint64_t lowest = retained_.front().first;
   bool aged_out = false;
   for (uint64_t seq : nak.missing) {
-    if (seq < lowest || seq >= lowest + retained_.size()) {
+    if (seq < lowest || seq > HighestSent()) {
       aged_out = aged_out || seq < lowest;
-      continue;  // aged out of the retransmit buffer; receiver will declare a gap
+      continue;  // aged out (receiver will declare a gap), or still in the batch buffer
     }
     auto it = last_retransmit_.find(seq);
     if (it != last_retransmit_.end() &&
@@ -207,7 +207,12 @@ void ReliableSender::ScheduleHeartbeat() {  // hotlint: allow(hot-recursion) -- 
           return;
         }
         heartbeat_scheduled_ = false;
-        SendHeartbeat();
+        // Heartbeat while data flows (idle == 0); once idle, only on idle ticks 1, 2,
+        // 4 and 8, so no gap reaches the receivers' 500 ms silence give-up.
+        const SimTime idle = (sim_->Now() - last_activity_) / config_.heartbeat_interval_us;
+        if ((idle & (idle - 1)) == 0) {
+          SendHeartbeat();
+        }
         if (sim_->Now() - last_activity_ < config_.heartbeat_idle_cutoff_us) {
           ScheduleHeartbeat();
         }
@@ -218,8 +223,11 @@ void ReliableSender::ScheduleHeartbeat() {  // hotlint: allow(hot-recursion) -- 
 void ReliableSender::SendHeartbeat() {
   HeartbeatPacket pkt;
   pkt.stream_id = stream_id_;
-  pkt.highest_seq = next_seq_ - 1;
-  pkt.lowest_retained = retained_.empty() ? next_seq_ : retained_.front().first;
+  // Advertise only what reached the wire: a pending batch's sequences would read as
+  // a gap and draw NAKs, retransmits and then duplicates when the batch flushes.
+  pkt.highest_seq = HighestSent();
+  pkt.lowest_retained =
+      std::min(retained_.empty() ? next_seq_ : retained_.front().first, pkt.highest_seq + 1);
   socket_->Broadcast(dst_port_, FrameMessage(kPktHeartbeat, pkt.Marshal()));
   heartbeats_sent_->Inc();
 }

@@ -120,6 +120,8 @@ class ReliableSender {
   void ScheduleHeartbeat();
   void SendHeartbeat();
   void ScheduleBatchFlush();
+  // Last sequence that reached the wire; a pending batch's sequences have not.
+  uint64_t HighestSent() const { return batch_.empty() ? next_seq_ - 1 : batch_first_seq_ - 1; }
 
   Simulator* sim_;
   UdpSocket* socket_;

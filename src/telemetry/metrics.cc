@@ -41,7 +41,7 @@ void LatencyHistogram::Merge(const LatencyHistogram& other) {
     counts_[b] += other.counts_[b];
   }
   total_ += other.total_;
-  sum_ += other.sum_;
+  sum_ = SaturatingAdd(sum_, other.sum_);
 }
 
 void LatencyHistogram::RestoreBucket(size_t b, uint64_t count) {

@@ -61,7 +61,7 @@ class LatencyHistogram {
     size_t b = BucketOf(us);
     counts_[b]++;
     total_++;
-    sum_ += us < 0 ? 0 : us;
+    sum_ = SaturatingAdd(sum_, us < 0 ? 0 : us);
     if (total_ == 1 || us < min_) {
       min_ = us;
     }
@@ -101,6 +101,16 @@ class LatencyHistogram {
   uint64_t bucket_count(size_t b) const { return b < kBuckets ? counts_[b] : 0; }
 
  private:
+  // The sum pins at the int64 limits instead of overflowing (Mean() degrades, the
+  // buckets stay exact).
+  static int64_t SaturatingAdd(int64_t a, int64_t b) {
+    int64_t out = 0;
+    if (__builtin_add_overflow(a, b, &out)) {
+      return b > 0 ? INT64_MAX : INT64_MIN;
+    }
+    return out;
+  }
+
   uint64_t counts_[kBuckets] = {};
   uint64_t total_ = 0;
   int64_t sum_ = 0;

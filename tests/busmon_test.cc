@@ -222,9 +222,9 @@ TEST_F(BusMonTest, DerivesStageLatencyFromBufferedTraceSpans) {
   const std::string frame = (*mon)->RenderSnapshot();
   EXPECT_NE(frame.find("stage latency ("), std::string::npos);
   // Hop-only decomposition of a LAN path: marshal, transit, and dispatch stages.
-  EXPECT_NE(frame.find("publish_marshal"), std::string::npos);
+  EXPECT_NE(frame.find("publish_loopback"), std::string::npos);
   EXPECT_NE(frame.find("medium_transit"), std::string::npos);
-  EXPECT_NE(frame.find("deliver_dispatch"), std::string::npos);
+  EXPECT_NE(frame.find("deliver_loopback"), std::string::npos);
   EXPECT_EQ(frame.find("unattributed"), std::string::npos);
 }
 #endif

@@ -203,6 +203,7 @@ TEST(LatencyHistogramMerge, OverflowBucketSurvivesMerge) {
   EXPECT_EQ(a.bucket_count(LatencyHistogram::BucketOf(huge)), 2u);
 #if IBUS_TELEMETRY
   EXPECT_EQ(a.max(), huge);  // min/max only tracked when recording is compiled in
+  EXPECT_EQ(a.sum(), INT64_MAX);  // 2^63 + 5 saturates rather than wrapping
 #endif
 }
 

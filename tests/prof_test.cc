@@ -44,13 +44,13 @@ TEST(StageTaxonomyTest, NamesAreStableAndDistinct) {
     seen.push_back(name);
     EXPECT_EQ(StageMetricName(static_cast<StageKind>(i)), "prof.stage." + name);
   }
-  EXPECT_STREQ(StageName(StageKind::kPublishMarshal), "publish_marshal");
+  EXPECT_STREQ(StageName(StageKind::kPublishLoopback), "publish_loopback");
   EXPECT_STREQ(StageName(StageKind::kUnattributed), "unattributed");
 }
 
 TEST(StageBreakdownTest, TotalSumsAllStages) {
   StageBreakdown b;
-  b[StageKind::kPublishMarshal] = 10;
+  b[StageKind::kPublishLoopback] = 10;
   b[StageKind::kMediumTransit] = 200;
   b[StageKind::kUnattributed] = 3;
   EXPECT_EQ(b.total_us(), 213);
@@ -75,9 +75,9 @@ TEST(DecomposeTest, OriginLanPathReconcilesExactly) {
   EXPECT_EQ(p.trace_id, 7u);
   EXPECT_EQ(p.dest, "consumer");
   EXPECT_EQ(p.end_to_end_us, 350);
-  EXPECT_EQ(p.stages.at(StageKind::kPublishMarshal), 50);
+  EXPECT_EQ(p.stages.at(StageKind::kPublishLoopback), 50);
   EXPECT_EQ(p.stages.at(StageKind::kMediumTransit), 250);  // default split
-  EXPECT_EQ(p.stages.at(StageKind::kDeliverDispatch), 50);
+  EXPECT_EQ(p.stages.at(StageKind::kDeliverLoopback), 50);
   EXPECT_EQ(p.stages.at(StageKind::kUnattributed), 0);
   EXPECT_EQ(p.stages.total_us(), p.end_to_end_us);
 }
@@ -100,12 +100,12 @@ TEST(DecomposeTest, WanPathWalksRouterChain) {
   EXPECT_EQ(wan.dest, "consumer");
   EXPECT_EQ(wan.hop, 2);
   EXPECT_EQ(wan.end_to_end_us, 600);
-  EXPECT_EQ(wan.stages.at(StageKind::kDeliverDispatch), 60);   // 640 -> 700
+  EXPECT_EQ(wan.stages.at(StageKind::kDeliverLoopback), 60);   // 640 -> 700
   // Far-LAN wire 520->640 plus WAN link 260->500 plus origin wire 120->200.
   EXPECT_EQ(wan.stages.at(StageKind::kMediumTransit), 120 + 240 + 80);
   EXPECT_EQ(wan.stages.at(StageKind::kRouterRepublish), 20);   // 500 -> 520
   EXPECT_EQ(wan.stages.at(StageKind::kRouterForward), 60);     // 200 -> 260
-  EXPECT_EQ(wan.stages.at(StageKind::kPublishMarshal), 20);    // 100 -> 120
+  EXPECT_EQ(wan.stages.at(StageKind::kPublishLoopback), 20);   // 100 -> 120
   EXPECT_EQ(wan.stages.at(StageKind::kUnattributed), 0);
   EXPECT_EQ(wan.stages.total_us(), wan.end_to_end_us);
 
@@ -123,7 +123,7 @@ TEST(DecomposeTest, MissingHopFoldsRemainderIntoUnattributed) {
   };
   auto paths = DecomposeTimeline(tl);
   ASSERT_EQ(paths.size(), 1u);
-  EXPECT_EQ(paths[0].stages.at(StageKind::kDeliverDispatch), 50);
+  EXPECT_EQ(paths[0].stages.at(StageKind::kDeliverLoopback), 50);
   EXPECT_EQ(paths[0].stages.at(StageKind::kUnattributed), 200);
   EXPECT_EQ(paths[0].stages.total_us(), paths[0].end_to_end_us);
 }

@@ -2,8 +2,8 @@
 // canonical certified-WAN demo scenario with publish tracing on, a wire tap
 // attached, and the simulator event core observed, then decomposes every traced
 // delivery's end-to-end latency into the exact stage taxonomy of src/prof
-// (publish_marshal / daemon_queue / medium_transit / router_forward /
-// router_republish / retransmit_repair / deliver_dispatch / unattributed). The
+// (publish_loopback / daemon_queue / medium_transit / router_forward /
+// router_republish / retransmit_repair / deliver_loopback / unattributed). The
 // stage sums reconcile exactly — integer microseconds — against the measured
 // end-to-end latency, and every output is bit-identical across replays of one
 // seed.
