@@ -6,15 +6,17 @@
 # capture accountant, see src/capture/bandwidth.h, a "hot_path_allocs/steady" row
 # carrying the allocs_per_msg counter from the instrumented-allocator bench, the
 # journal_append rows measuring write-ahead ledger commit cost, a "profile"
-# section: busprof's per-stage critical-path p99s and queue high-watermarks for
-# the profiled WAN scenario, see tools/busprof, and from BENCH_9 on the
+# section: the median over a busprof seed sweep of the per-stage critical-path
+# p99s and queue high-watermarks for the profiled WAN scenario, with its seed
+# list, see tools/busprof and scripts/profile_median.py, and from BENCH_9 on the
 # telemetry_overhead rows carrying the stats plane's self-measured overhead_ratio
 # at trace-sampling periods {1, 64, off} — the bench binary itself fails if the
 # ratio reaches 5% at the default 1/64 sampling). Afterwards, diffs the fresh
 # numbers against the newest previous BENCH_*.json via scripts/bench_diff.py and
 # fails on a >10% latency regression, a >10% throughput-bench delivery-rate drop,
 # a >10% hot-path allocation growth, a >10% regression in a profile stage p99 /
-# queue high-watermark, or a >10% overhead_ratio growth.
+# queue high-watermark median (only against a baseline with the same seed
+# list), or a >10% overhead_ratio growth.
 # See docs/TELEMETRY.md.
 #
 #   scripts/bench.sh                     # build in build-bench/, write BENCH_9.json
@@ -50,11 +52,19 @@ for b in ${BENCHES}; do
   tail -3 "${tmpdir}/${b}.log" | sed 's/^/   /'
 done
 
-# The profile section: busprof's deterministic critical-path + queue-occupancy
-# report for the profiled WAN scenario (empty under -DIB_TELEMETRY=OFF builds,
-# where the binary still runs but traces no paths).
-echo "== busprof"
-"${BUILD_DIR}/tools/busprof/busprof" --json --seed 42 > "${tmpdir}/profile.json"
+# The profile section: the per-key median of busprof's critical-path stage p99s
+# and queue high-watermarks for the profiled WAN scenario over seeds 42 and
+# 1-30 (scripts/profile_median.py; a single seed flips on any fault re-draw).
+# Empty under -DIB_TELEMETRY=OFF builds, where busprof traces no paths.
+echo "== busprof (seeds 42, 1-30)"
+profile_args=()
+for seed in 42 $(seq 1 30); do
+  "${BUILD_DIR}/tools/busprof/busprof" --json --seed "${seed}" > "${tmpdir}/profile.${seed}.json"
+  profile_args+=("${seed}:${tmpdir}/profile.${seed}.json")
+done
+if command -v python3 > /dev/null; then
+  python3 scripts/profile_median.py "${profile_args[@]}" > "${tmpdir}/profile.json"
+fi
 
 {
   printf '{"schema": "BENCH_9",\n'

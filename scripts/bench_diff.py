@@ -20,11 +20,14 @@ reported as new/dropped series but never fail the run (benchmarks and their
 columns come and go across PRs — a newer schema must always diff cleanly against
 an older baseline).
 
-When BOTH files carry a top-level "profile" section (busprof's critical-path
-report, embedded by scripts/bench.sh from BENCH_8 on), its per-stage p99
-latencies and per-node queue high-watermarks are gated the same way: >threshold
-growth on a stage p99 or a ".hwm" gauge fails the run. A profile present on only
-one side is reported and skipped.
+When BOTH files carry a top-level "profile" section with the same "seeds" list
+(the median of busprof's critical-path report over a seed sweep, embedded by
+scripts/bench.sh via scripts/profile_median.py), its per-stage p99 latencies
+and per-node queue high-watermarks are gated the same way: >threshold growth on
+a stage p99 or a ".hwm" gauge fails the run. A profile present on only one
+side, or profiles over different seed lists (older baselines embed a single
+seed's report, whose numbers flip on any fault re-draw), are reported and
+skipped.
 
 The deterministic simulator makes bench numbers replayable, so a genuine regression
 here is a code change, not scheduler noise.
@@ -70,6 +73,11 @@ def diff_profile(base_doc, cur_doc, threshold, regressions):
         if bp or cp:
             side = "current" if cp else "baseline"
             print(f"  profile: only the {side} file carries one; skipping")
+        return
+    bseeds, cseeds = bp.get("seeds"), cp.get("seeds")
+    if not bseeds or bseeds != cseeds:
+        print(f"  profile: seed lists differ (baseline {bseeds or 'single seed'}, "
+              f"current {cseeds or 'single seed'}); skipping")
         return
     bstages, cstages = bp.get("stage_p99_us", {}), cp.get("stage_p99_us", {})
     for stage in sorted(set(bstages) & set(cstages)):

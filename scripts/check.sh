@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # One-shot correctness gate: configure with sanitizers + -Werror, build everything,
-# run the tier1 suite, the repo-wide buslint + hotlint passes, and the determinism
-# replay check.
+# run the tier1 suite, the repo-wide analyzer passes, and the determinism replay
+# check.
 # See docs/TOOLING.md.
 #
 #   scripts/check.sh                 # full gate in build-check/
@@ -41,17 +41,10 @@ ctest --test-dir "${BUILD_DIR}" --output-on-failure -L prof
 echo "== busstat tests (ctest -L stats: sketches, sampling, time-series codec, replay gate)"
 ctest --test-dir "${BUILD_DIR}" --output-on-failure -L stats
 
-echo "== buslint over src/ bench/ examples/ tools/  (-L lint also runs tdlcheck)"
-ctest --test-dir "${BUILD_DIR}" --output-on-failure -L lint
-
-echo "== tdlcheck over repo TDL scripts + embedded R\"tdl()\" blocks"
-ctest --test-dir "${BUILD_DIR}" --output-on-failure -L tdlcheck
-
-echo "== hotlint over the message hot path (-L hotlint: repo scan + analyzer tests)"
-ctest --test-dir "${BUILD_DIR}" --output-on-failure -L hotlint
-
-echo "== wirecheck over every codec (-L wirecheck: schema goldens, symmetry, decode safety)"
-ctest --test-dir "${BUILD_DIR}" --output-on-failure -L wirecheck
+# ctest -L takes a regex, and the analyzer labels overlap (hotlint_repo carries
+# lint;hotlint, wirecheck_repo lint;wirecheck): one step runs each test once.
+echo "== analyzers (ctest -L 'lint|tdlcheck|hotlint|wirecheck': buslint, lintcore, tdlcheck, hotlint, wirecheck)"
+ctest --test-dir "${BUILD_DIR}" --output-on-failure -L 'lint|tdlcheck|hotlint|wirecheck'
 
 # Optional fuzz smoke: IB_FUZZ=ON scripts/check.sh spends ~30 s fuzzing the three
 # frontline decoders (libFuzzer under clang; deterministic corpus replay on GCC).

@@ -1,17 +1,13 @@
-// hotlint model builder: scrubs each source file (comments/literals blanked,
-// offsets preserved), recognizes function definitions with a forward structural
-// scan (namespace/class scope stack, brace/paren depth), and extracts the
-// per-function callee list and conservative effect set that analyze.cc turns
-// into findings. Pure text analysis in the buslint tradition — no libclang, no
-// preprocessor; the scanned file set *is* the program.
+// hotlint model builder: scrubs each source file with lintcore (directives
+// blanked), walks its function definitions, and extracts the per-function
+// callee list and conservative effect set that analyze.cc turns into findings.
+// Pure text analysis — no libclang, no preprocessor; the scanned file set *is*
+// the program.
 #include <algorithm>
 #include <cctype>
-#include <map>
 #include <set>
-#include <sstream>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -20,551 +16,11 @@
 namespace ibus::hotlint {
 namespace {
 
-bool IsIdentChar(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
-}
-
-// ---------------------------------------------------------------------------------
-// Annotations
-// ---------------------------------------------------------------------------------
-
-struct Annotation {
-  enum Kind { kHot, kCold, kAllow, kUnknown } kind = kUnknown;
-  int line = 0;
-  std::set<std::string> rules;  // kAllow only
-  bool justified = false;       // has a non-empty `-- reason`
-  bool claimed = false;         // kHot/kCold: attached to a function definition
-  std::string text;             // the word after "hotlint:" (diagnostics)
-};
-
-// Source text with comments, literal contents, and preprocessor lines blanked
-// (newlines kept, so offsets/line numbers survive). hotlint annotations found in
-// `//` comments are collected with their line numbers.
-struct Scrubbed {
-  std::string code;
-  std::vector<size_t> line_starts;
-  std::vector<Annotation> annotations;
-
-  int LineOf(size_t offset) const {
-    auto it = std::upper_bound(line_starts.begin(), line_starts.end(), offset);
-    return static_cast<int>(it - line_starts.begin());
-  }
-  int ColOf(size_t offset) const {
-    int line = LineOf(offset);
-    return static_cast<int>(offset - line_starts[static_cast<size_t>(line) - 1]) + 1;
-  }
-};
-
-// Parses "hotlint: hot|cold|allow(a,b) [-- justification]" out of one comment.
-void RecordAnnotation(std::string_view comment, int line, Scrubbed* out) {
-  size_t at = comment.find("hotlint:");
-  if (at == std::string_view::npos) {
-    return;
-  }
-  std::string_view rest = comment.substr(at + 8);
-  size_t p = 0;
-  while (p < rest.size() && std::isspace(static_cast<unsigned char>(rest[p])) != 0) {
-    ++p;
-  }
-  rest = rest.substr(p);
-  Annotation a;
-  a.line = line;
-  size_t dash = rest.find("--");
-  if (dash != std::string_view::npos) {
-    std::string_view why = rest.substr(dash + 2);
-    a.justified = why.find_first_not_of(" \t") != std::string_view::npos;
-  }
-  if (rest.substr(0, 6) == "allow(") {
-    size_t close = rest.find(')');
-    if (close == std::string_view::npos) {
-      a.kind = Annotation::kUnknown;
-      a.text = "allow";
-      out->annotations.push_back(std::move(a));
-      return;
-    }
-    a.kind = Annotation::kAllow;
-    std::stringstream ss{std::string(rest.substr(6, close - 6))};
-    std::string rule;
-    while (std::getline(ss, rule, ',')) {
-      rule.erase(std::remove_if(rule.begin(), rule.end(),
-                                [](char c) {
-                                  return std::isspace(static_cast<unsigned char>(c)) != 0;
-                                }),
-                 rule.end());
-      if (!rule.empty()) {
-        a.rules.insert(rule);
-      }
-    }
-  } else {
-    size_t e = 0;
-    while (e < rest.size() && IsIdentChar(rest[e])) {
-      ++e;
-    }
-    a.text = std::string(rest.substr(0, e));
-    if (a.text == "hot") {
-      a.kind = Annotation::kHot;
-    } else if (a.text == "cold") {
-      a.kind = Annotation::kCold;
-    } else {
-      a.kind = Annotation::kUnknown;
-    }
-  }
-  out->annotations.push_back(std::move(a));
-}
-
-Scrubbed Scrub(std::string_view src) {
-  Scrubbed out;
-  out.code.assign(src.size(), ' ');
-  out.line_starts.push_back(0);
-  size_t i = 0;
-  bool at_line_start = true;  // only whitespace seen since the last newline
-  auto copy_nl = [&](size_t pos) {
-    out.code[pos] = '\n';
-    out.line_starts.push_back(pos + 1);
-    at_line_start = true;
-  };
-  while (i < src.size()) {
-    char c = src[i];
-    if (c == '\n') {
-      copy_nl(i);
-      ++i;
-      continue;
-    }
-    if (at_line_start && c == '#') {
-      // Preprocessor line (plus backslash continuations): blank it so `#if`
-      // alternatives and function-like macro bodies cannot unbalance braces.
-      while (i < src.size()) {
-        size_t end = src.find('\n', i);
-        if (end == std::string_view::npos) {
-          i = src.size();
-          break;
-        }
-        bool continued = end > i && src[end - 1] == '\\';
-        copy_nl(end);
-        i = end + 1;
-        if (!continued) {
-          break;
-        }
-      }
-      continue;
-    }
-    if (std::isspace(static_cast<unsigned char>(c)) == 0) {
-      at_line_start = false;
-    }
-    if (c == '/' && i + 1 < src.size() && src[i + 1] == '/') {
-      size_t end = src.find('\n', i);
-      if (end == std::string_view::npos) {
-        end = src.size();
-      }
-      RecordAnnotation(src.substr(i, end - i),
-                       static_cast<int>(out.line_starts.size()), &out);
-      i = end;
-      continue;
-    }
-    if (c == '/' && i + 1 < src.size() && src[i + 1] == '*') {
-      size_t end = src.find("*/", i + 2);
-      end = end == std::string_view::npos ? src.size() : end + 2;
-      for (size_t j = i; j < end; ++j) {
-        if (src[j] == '\n') {
-          copy_nl(j);
-        }
-      }
-      i = end;
-      continue;
-    }
-    if (c == '"' || c == '\'') {
-      if (c == '"' && i > 0 && src[i - 1] == 'R') {
-        size_t paren = src.find('(', i);
-        if (paren != std::string_view::npos) {
-          std::string closer = ")" + std::string(src.substr(i + 1, paren - i - 1)) + "\"";
-          size_t end = src.find(closer, paren + 1);
-          if (end != std::string_view::npos) {
-            out.code[i] = '"';
-            size_t close_q = end + closer.size() - 1;
-            out.code[close_q] = '"';
-            for (size_t j = i; j < close_q; ++j) {
-              if (src[j] == '\n') {
-                copy_nl(j);
-              }
-            }
-            i = close_q + 1;
-            continue;
-          }
-        }
-      }
-      char quote = c;
-      size_t start = i;
-      ++i;
-      while (i < src.size() && src[i] != quote) {
-        if (src[i] == '\\' && i + 1 < src.size()) {
-          i += 2;
-          continue;
-        }
-        if (src[i] == '\n') {
-          break;  // unterminated literal; bail at line end
-        }
-        ++i;
-      }
-      out.code[start] = quote;
-      if (i < src.size() && src[i] == quote) {
-        out.code[i] = quote;
-        ++i;
-      }
-      continue;
-    }
-    out.code[i] = c;
-    ++i;
-  }
-  return out;
-}
-
-// ---------------------------------------------------------------------------------
-// Small token helpers
-// ---------------------------------------------------------------------------------
-
-size_t SkipSpace(std::string_view s, size_t i) {
-  while (i < s.size() && std::isspace(static_cast<unsigned char>(s[i])) != 0) {
-    ++i;
-  }
-  return i;
-}
-
-size_t PrevMeaningful(std::string_view s, size_t i) {
-  while (i > 0) {
-    --i;
-    if (std::isspace(static_cast<unsigned char>(s[i])) == 0) {
-      return i;
-    }
-  }
-  return std::string_view::npos;
-}
-
-// Offset just past the matching ')' for the '(' at `open`, or npos.
-size_t MatchParen(std::string_view s, size_t open) {
-  int depth = 0;
-  for (size_t i = open; i < s.size(); ++i) {
-    if (s[i] == '(') {
-      ++depth;
-    } else if (s[i] == ')') {
-      if (--depth == 0) {
-        return i + 1;
-      }
-    }
-  }
-  return std::string_view::npos;
-}
-
-// Offset just past the matching '>' for the '<' at `open`, or npos. Bails on
-// chars that cannot occur inside template arguments (a lone '<' was a
-// comparison, not a template list).
-size_t MatchAngle(std::string_view s, size_t open) {
-  int depth = 0;
-  for (size_t i = open; i < s.size(); ++i) {
-    char c = s[i];
-    if (c == '<') {
-      ++depth;
-    } else if (c == '>') {
-      if (--depth == 0) {
-        return i + 1;
-      }
-    } else if (c == ';' || c == '{' || c == '}') {
-      return std::string_view::npos;
-    }
-  }
-  return std::string_view::npos;
-}
-
-template <typename Fn>
-void ForEachIdentifier(std::string_view code, size_t begin, size_t end, Fn&& fn) {
-  size_t i = begin;
-  while (i < end) {
-    if (IsIdentChar(code[i]) && (i == 0 || !IsIdentChar(code[i - 1])) &&
-        std::isdigit(static_cast<unsigned char>(code[i])) == 0) {
-      size_t j = i;
-      while (j < end && IsIdentChar(code[j])) {
-        ++j;
-      }
-      fn(i, code.substr(i, j - i));
-      i = j;
-      continue;
-    }
-    ++i;
-  }
-}
-
-const std::unordered_set<std::string_view>& ControlKeywords() {
-  static const std::unordered_set<std::string_view> kSet = {
-      "if",       "for",     "while",   "switch",   "catch",      "return",
-      "sizeof",   "alignof", "decltype", "noexcept", "static_cast", "dynamic_cast",
-      "const_cast", "reinterpret_cast", "new", "delete", "else", "do", "case",
-      "requires", "co_await", "co_return", "co_yield", "throw", "assert",
-      "static_assert", "defined", "alignas", "typeid",
-  };
-  return kSet;
-}
-
-// ---------------------------------------------------------------------------------
-// Declaration-head classification
-// ---------------------------------------------------------------------------------
-
-struct HeadInfo {
-  enum Kind { kOther, kNamespace, kClass, kFunction } kind = kOther;
-  std::string name;            // scope name, or unqualified function name
-  size_t name_off = 0;         // function name token offset
-  std::vector<std::string> qualifiers;  // explicit A::B:: chain before the name
-  size_t params_begin = 0;     // inside the '(' ... ')' group
-  size_t params_end = 0;
-  size_t return_begin = 0;     // [return_begin, return_end): return-type text
-  size_t return_end = 0;
-  size_t tail_begin = 0;       // [tail_begin, head_end): qualifiers / ctor-init list
-};
-
-// Classifies the declaration head [begin, end) that ends at a '{'.
-HeadInfo ClassifyHead(std::string_view code, size_t begin, size_t end) {
-  HeadInfo info;
-  size_t i = SkipSpace(code, begin);
-  // Skip template<...> introducers and [[attributes]].
-  while (i < end) {
-    if (code.compare(i, 8, "template") == 0 &&
-        (i + 8 >= end || !IsIdentChar(code[i + 8]))) {
-      size_t lt = SkipSpace(code, i + 8);
-      if (lt < end && code[lt] == '<') {
-        size_t past = MatchAngle(code, lt);
-        if (past == std::string_view::npos || past > end) {
-          return info;
-        }
-        i = SkipSpace(code, past);
-        continue;
-      }
-    }
-    if (code.compare(i, 2, "[[") == 0) {
-      size_t close = code.find("]]", i + 2);
-      if (close == std::string_view::npos || close >= end) {
-        return info;
-      }
-      i = SkipSpace(code, close + 2);
-      continue;
-    }
-    break;
-  }
-  if (i >= end) {
-    return info;  // bare `{` — a plain block or an initializer
-  }
-  size_t head_begin = i;
-
-  // Scope keywords before any top-level '(' make this a scope, not a function.
-  static const std::unordered_set<std::string_view> kScopeKeywords = {
-      "namespace", "class", "struct", "union", "enum"};
-  int paren = 0;
-  size_t scope_kw_at = std::string_view::npos;
-  std::string scope_kw;
-  size_t first_paren = std::string_view::npos;
-  {
-    size_t j = head_begin;
-    int angle = 0;
-    while (j < end) {
-      char c = code[j];
-      if (IsIdentChar(c) && (j == 0 || !IsIdentChar(code[j - 1]))) {
-        size_t k = j;
-        while (k < end && IsIdentChar(code[k])) {
-          ++k;
-        }
-        std::string_view tok = code.substr(j, k - j);
-        if (paren == 0 && angle == 0 && first_paren == std::string_view::npos &&
-            kScopeKeywords.count(tok) > 0) {
-          scope_kw_at = j;
-          scope_kw = std::string(tok);
-          break;
-        }
-        j = k;
-        continue;
-      }
-      if (c == '<') {
-        size_t past = MatchAngle(code, j);
-        if (past != std::string_view::npos && past <= end) {
-          j = past;
-          continue;
-        }
-      }
-      if (c == '(') {
-        if (paren == 0 && angle == 0 && first_paren == std::string_view::npos) {
-          first_paren = j;
-        }
-        ++paren;
-      } else if (c == ')') {
-        --paren;
-      }
-      ++j;
-    }
-  }
-
-  if (scope_kw_at != std::string_view::npos) {
-    if (scope_kw == "namespace") {
-      info.kind = HeadInfo::kNamespace;
-    } else if (scope_kw == "class" || scope_kw == "struct") {
-      info.kind = HeadInfo::kClass;
-    } else {
-      info.kind = HeadInfo::kOther;  // enum/union: skip the body wholesale
-      return info;
-    }
-    // Scope name: the identifier after the keyword (skipping attributes and,
-    // for classes, stopping before bases `: public X`).
-    size_t j = SkipSpace(code, scope_kw_at + scope_kw.size());
-    while (j < end && code.compare(j, 2, "[[") == 0) {
-      size_t close = code.find("]]", j);
-      if (close == std::string_view::npos) {
-        break;
-      }
-      j = SkipSpace(code, close + 2);
-    }
-    size_t k = j;
-    while (k < end && IsIdentChar(code[k])) {
-      ++k;
-    }
-    info.name = std::string(code.substr(j, k - j));  // may be empty (anonymous)
-    return info;
-  }
-
-  if (first_paren == std::string_view::npos) {
-    return info;  // no parameter list — initializer, lambda body, etc.
-  }
-  size_t params_past = MatchParen(code, first_paren);
-  if (params_past == std::string_view::npos || params_past > end) {
-    return info;
-  }
-
-  // The token directly before '(' must be the function name (identifier,
-  // ~identifier destructor, or operator-something).
-  size_t before = PrevMeaningful(code, first_paren);
-  if (before == std::string_view::npos || before < head_begin) {
-    return info;
-  }
-  size_t name_end = before + 1;
-  size_t name_begin = name_end;
-  if (IsIdentChar(code[before])) {
-    while (name_begin > head_begin && IsIdentChar(code[name_begin - 1])) {
-      --name_begin;
-    }
-  } else {
-    // operator+ / operator== / operator() etc: symbols back to `operator`.
-    size_t sym_begin = name_end;
-    while (sym_begin > head_begin && !IsIdentChar(code[sym_begin - 1]) &&
-           std::isspace(static_cast<unsigned char>(code[sym_begin - 1])) == 0) {
-      --sym_begin;
-    }
-    size_t op_end = sym_begin;
-    size_t op_begin = op_end;
-    while (op_begin > head_begin && IsIdentChar(code[op_begin - 1])) {
-      --op_begin;
-    }
-    if (code.substr(op_begin, op_end - op_begin) != "operator") {
-      return info;
-    }
-    name_begin = op_begin;
-  }
-  std::string name(code.substr(name_begin, name_end - name_begin));
-  if (name == "operator") {
-    // `operator()` — the first paren group is part of the name; the parameter
-    // list is the next group.
-    size_t next = SkipSpace(code, params_past);
-    if (next < end && code[next] == '(') {
-      size_t past2 = MatchParen(code, next);
-      if (past2 == std::string_view::npos || past2 > end) {
-        return info;
-      }
-      name = "operator()";
-      first_paren = next;
-      params_past = past2;
-    } else {
-      name += std::string(code.substr(name_end, first_paren - name_end));
-      while (!name.empty() && std::isspace(static_cast<unsigned char>(name.back())) != 0) {
-        name.pop_back();
-      }
-    }
-  }
-  if (name.empty() || ControlKeywords().count(name) > 0) {
-    return info;
-  }
-  // Destructor tilde.
-  if (name_begin > head_begin) {
-    size_t prev = PrevMeaningful(code, name_begin);
-    if (prev != std::string_view::npos && prev >= head_begin && code[prev] == '~') {
-      name = "~" + name;
-      name_begin = prev;
-    }
-  }
-
-  // Walk the explicit qualifier chain A::B:: backwards (skipping template args).
-  size_t chain_begin = name_begin;
-  std::vector<std::string> quals;
-  while (true) {
-    size_t prev = PrevMeaningful(code, chain_begin);
-    if (prev == std::string_view::npos || prev < head_begin || prev < 1 ||
-        code[prev] != ':' || code[prev - 1] != ':') {
-      break;
-    }
-    size_t q_end_pos = PrevMeaningful(code, prev - 1);
-    if (q_end_pos == std::string_view::npos || q_end_pos < head_begin) {
-      break;
-    }
-    if (code[q_end_pos] == '>') {
-      // Foo<T>::bar — scan back to the matching '<'.
-      int depth = 0;
-      size_t j = q_end_pos + 1;
-      while (j > head_begin) {
-        --j;
-        if (code[j] == '>') {
-          ++depth;
-        } else if (code[j] == '<') {
-          if (--depth == 0) {
-            break;
-          }
-        }
-      }
-      q_end_pos = PrevMeaningful(code, j);
-      if (q_end_pos == std::string_view::npos || q_end_pos < head_begin ||
-          !IsIdentChar(code[q_end_pos])) {
-        break;
-      }
-    }
-    if (!IsIdentChar(code[q_end_pos])) {
-      break;
-    }
-    size_t q_begin = q_end_pos + 1;
-    while (q_begin > head_begin && IsIdentChar(code[q_begin - 1])) {
-      --q_begin;
-    }
-    quals.insert(quals.begin(), std::string(code.substr(q_begin, q_end_pos + 1 - q_begin)));
-    chain_begin = q_begin;
-  }
-
-  info.kind = HeadInfo::kFunction;
-  info.name = std::move(name);
-  info.name_off = name_begin;
-  info.qualifiers = std::move(quals);
-  info.params_begin = first_paren + 1;
-  info.params_end = params_past - 1;
-  info.return_begin = head_begin;
-  info.return_end = chain_begin;
-  info.tail_begin = params_past;
-  return info;
-}
+using namespace ibus::lintcore;  // NOLINT(google-build-using-namespace)
 
 // ---------------------------------------------------------------------------------
 // Effect + callee extraction
 // ---------------------------------------------------------------------------------
-
-struct AllowMap {
-  // line -> justified allow rules; kRuleBadAnnotation problems are reported
-  // separately by the caller.
-  std::unordered_map<int, std::set<std::string>> lines;
-
-  bool Allowed(int line, std::string_view rule) const {
-    auto it = lines.find(line);
-    return it != lines.end() &&
-           (it->second.count(std::string(rule)) > 0 || it->second.count("all") > 0);
-  }
-};
 
 const std::unordered_set<std::string_view>& GrowthMethods() {
   static const std::unordered_set<std::string_view> kSet = {
@@ -589,18 +45,6 @@ const std::unordered_set<std::string_view>& LockIdents() {
   static const std::unordered_set<std::string_view> kSet = {
       "mutex", "lock_guard", "unique_lock", "scoped_lock", "shared_lock",
       "condition_variable", "shared_mutex", "recursive_mutex",
-  };
-  return kSet;
-}
-
-const std::unordered_set<std::string_view>& NondetIdents() {
-  static const std::unordered_set<std::string_view> kSet = {
-      "srand",         "rand_r",       "drand48",
-      "random_device", "mt19937",      "mt19937_64",
-      "minstd_rand",   "default_random_engine",
-      "system_clock",  "steady_clock", "high_resolution_clock",
-      "getenv",        "gettimeofday", "clock_gettime",
-      "localtime",     "gmtime",
   };
   return kSet;
 }
@@ -660,48 +104,6 @@ bool MethodContext(std::string_view code, size_t off, size_t* dot_off) {
   return false;
 }
 
-// Number of top-level arguments inside the '(' at `open` (0 for empty parens).
-size_t CountArgs(std::string_view code, size_t open, size_t past) {
-  size_t args = 0;
-  int paren = 0;
-  int angle = 0;
-  int brace = 0;
-  int bracket = 0;
-  bool any = false;
-  for (size_t i = open; i + 1 < past; ++i) {
-    char c = code[i];
-    if (c == '(') {
-      ++paren;
-      continue;
-    }
-    if (c == ')') {
-      --paren;
-      continue;
-    }
-    if (paren > 1) {
-      continue;
-    }
-    if (c == '<') {
-      ++angle;
-    } else if (c == '>') {
-      angle = angle > 0 ? angle - 1 : 0;
-    } else if (c == '{') {
-      ++brace;
-    } else if (c == '}') {
-      --brace;
-    } else if (c == '[') {
-      ++bracket;
-    } else if (c == ']') {
-      --bracket;
-    } else if (c == ',' && angle == 0 && brace == 0 && bracket == 0) {
-      ++args;
-    } else if (std::isspace(static_cast<unsigned char>(c)) == 0) {
-      any = true;
-    }
-  }
-  return any ? args + 1 : 0;
-}
-
 // True if the body contains `move ( name )` (std::move'd sink parameter).
 bool IsMovedInBody(std::string_view code, size_t begin, size_t end,
                    std::string_view name) {
@@ -729,91 +131,6 @@ bool IsMovedInBody(std::string_view code, size_t begin, size_t end,
     }
   }
   return false;
-}
-
-struct ParamDecl {
-  std::string text;
-  std::string name;  // last identifier, or empty
-  size_t off = 0;    // offset of the first token
-  bool has_default = false;
-  bool is_pack = false;  // parameter pack / C varargs
-};
-
-std::vector<ParamDecl> SplitParams(std::string_view code, size_t begin, size_t end) {
-  std::vector<ParamDecl> out;
-  int paren = 0;
-  int angle = 0;
-  int brace = 0;
-  size_t start = begin;
-  auto flush = [&](size_t stop) {
-    size_t s = SkipSpace(code, start);
-    if (s >= stop) {
-      return;
-    }
-    ParamDecl p;
-    p.off = s;
-    p.text = std::string(code.substr(s, stop - s));
-    // Parameter name: the last identifier before any `= default` initializer.
-    std::string_view t = code.substr(s, stop - s);
-    size_t eq = std::string_view::npos;
-    {
-      int pd = 0;
-      int ad = 0;
-      for (size_t j = 0; j < t.size(); ++j) {
-        char c = t[j];
-        if (c == '(') {
-          ++pd;
-        } else if (c == ')') {
-          --pd;
-        } else if (c == '<') {
-          ++ad;
-        } else if (c == '>') {
-          ad = ad > 0 ? ad - 1 : 0;
-        } else if (c == '=' && pd == 0 && ad == 0) {
-          eq = j;
-          break;
-        }
-      }
-    }
-    p.has_default = eq != std::string_view::npos;
-    p.is_pack = t.find("...") != std::string_view::npos;
-    std::string_view decl = eq == std::string_view::npos ? t : t.substr(0, eq);
-    size_t name_end = decl.size();
-    while (name_end > 0 &&
-           std::isspace(static_cast<unsigned char>(decl[name_end - 1])) != 0) {
-      --name_end;
-    }
-    size_t name_begin = name_end;
-    while (name_begin > 0 && IsIdentChar(decl[name_begin - 1])) {
-      --name_begin;
-    }
-    if (name_end > name_begin && decl.back() != '>' && decl.back() != '&' &&
-        decl.back() != '*') {
-      p.name = std::string(decl.substr(name_begin, name_end - name_begin));
-    }
-    out.push_back(std::move(p));
-  };
-  for (size_t i = begin; i < end; ++i) {
-    char c = code[i];
-    if (c == '(') {
-      ++paren;
-    } else if (c == ')') {
-      --paren;
-    } else if (c == '<') {
-      ++angle;
-    } else if (c == '>') {
-      angle = angle > 0 ? angle - 1 : 0;
-    } else if (c == '{') {
-      ++brace;
-    } else if (c == '}') {
-      --brace;
-    } else if (c == ',' && paren == 0 && angle == 0 && brace == 0) {
-      flush(i);
-      start = i + 1;
-    }
-  }
-  flush(end);
-  return out;
 }
 
 // Copy-expensive types the by-value rule watches for, as exact token matches
@@ -947,11 +264,8 @@ void ScanBody(const FileContext& ctx, size_t begin, size_t end, Function* fn) {
       AddEffect(ctx, fn, kRuleLock, off, "'" + std::string(ident) + "' locks");
       return;
     }
-    bool nondet = NondetIdents().count(ident) > 0;
-    if (!nondet && (ident == "rand" || ident == "time" || ident == "clock")) {
-      nondet = is_call;
-    }
-    if (nondet) {
+    Nondet nondet = NondetPrimitive(ident);
+    if (nondet == Nondet::kAlways || (nondet == Nondet::kWhenCalled && is_call)) {
       AddEffect(ctx, fn, kRuleNondet, off,
                 "'" + std::string(ident) + "' is nondeterministic");
       return;
@@ -1108,153 +422,43 @@ void ScanSignature(const FileContext& ctx, const HeadInfo& head, size_t body_beg
 // File parsing
 // ---------------------------------------------------------------------------------
 
-struct ScopeFrame {
-  HeadInfo::Kind kind = HeadInfo::kOther;
-  std::string name;
-};
-
-void ScanFile(const std::string& path, const Scrubbed& s, const AllowMap& allows,
-               const std::set<std::string>& ptr_keyed, Program* out) {
+// hotlint's own verbs are `hot` and `cold`; `allow(...)` is lintcore's.
+void ScanFile(const std::string& path, const Scrubbed& s,
+              const std::vector<Annotation>& annotations, const AllowMap& allows,
+              const std::set<std::string>& ptr_keyed, Program* out) {
   FileContext ctx{&path, &s, &allows, &ptr_keyed};
   std::string_view code = s.code;
-  std::vector<ScopeFrame> scopes;
-  std::vector<std::pair<int, int>> claimable;  // [first_line, last_line] per fn (unused placeholder)
-  (void)claimable;
+  auto is_marker = [](const Annotation& a) { return a.verb == "hot" || a.verb == "cold"; };
+  std::vector<bool> claimed(annotations.size(), false);
 
-  // hot/cold annotations to attach; indexes into s.annotations.
-  std::vector<size_t> markers;
-  for (size_t i = 0; i < s.annotations.size(); ++i) {
-    const Annotation& a = s.annotations[i];
-    if (a.kind == Annotation::kHot || a.kind == Annotation::kCold) {
-      markers.push_back(i);
-    }
-  }
-  std::vector<bool> claimed(s.annotations.size(), false);
-
-  size_t i = 0;
-  size_t head_start = 0;
-  int paren_depth = 0;
-  while (i < code.size()) {
-    char c = code[i];
-    if (c == '(') {
-      ++paren_depth;
-      ++i;
-      continue;
-    }
-    if (c == ')') {
-      paren_depth = paren_depth > 0 ? paren_depth - 1 : 0;
-      ++i;
-      continue;
-    }
-    if (paren_depth > 0) {
-      ++i;
-      continue;
-    }
-    if (c == ';') {
-      head_start = i + 1;
-      ++i;
-      continue;
-    }
-    if (c == '}') {
-      if (!scopes.empty()) {
-        scopes.pop_back();
-      }
-      head_start = i + 1;
-      ++i;
-      continue;
-    }
-    if (c == ':') {
-      if (i + 1 < code.size() && code[i + 1] == ':') {
-        i += 2;
-        continue;
-      }
-      // Access specifiers reset the head; ctor-init `:` must not.
-      size_t prev = PrevMeaningful(code, i);
-      if (prev != std::string_view::npos && IsIdentChar(code[prev])) {
-        size_t b = prev + 1;
-        while (b > 0 && IsIdentChar(code[b - 1])) {
-          --b;
-        }
-        std::string_view word = code.substr(b, prev + 1 - b);
-        if (word == "public" || word == "private" || word == "protected") {
-          head_start = i + 1;
-        }
-      }
-      ++i;
-      continue;
-    }
-    if (c != '{') {
-      ++i;
-      continue;
-    }
-
-    HeadInfo head = ClassifyHead(code, head_start, i);
-    if (head.kind == HeadInfo::kNamespace || head.kind == HeadInfo::kClass) {
-      scopes.push_back({head.kind, head.name});
-      head_start = i + 1;
-      ++i;
-      continue;
-    }
-    if (head.kind != HeadInfo::kFunction) {
-      scopes.push_back({HeadInfo::kOther, ""});
-      head_start = i + 1;
-      ++i;
-      continue;
-    }
-
-    // Function body: match the closing brace.
-    int depth = 0;
-    size_t body_end = code.size();
-    for (size_t j = i; j < code.size(); ++j) {
-      if (code[j] == '{') {
-        ++depth;
-      } else if (code[j] == '}') {
-        if (--depth == 0) {
-          body_end = j;
-          break;
-        }
-      }
-    }
-
+  ForEachFunction(s, [&](const FunctionDef& def) {
+    const HeadInfo& head = def.head;
     Function fn;
     fn.name = head.name;
-    std::string qual;
-    for (const ScopeFrame& sf : scopes) {
-      if (sf.kind == HeadInfo::kClass && !sf.name.empty()) {
-        qual += sf.name + "::";
-      }
-    }
-    for (const std::string& q : head.qualifiers) {
-      // Skip namespace-style qualifiers already covered by scope (rare); keep all.
-      qual += q + "::";
-    }
-    fn.qualified_name = qual + fn.name;
+    fn.qualified_name = def.qualified_name;
     fn.file = path;
     fn.line = s.LineOf(head.name_off);
     fn.col = s.ColOf(head.name_off);
 
     // Attach hot/cold markers: signature lines or the line directly above.
-    int first_line = s.LineOf(head.return_begin != head.return_end
-                                  ? head.return_begin
-                                  : head.name_off);
-    int open_line = s.LineOf(i);
-    for (size_t mi : markers) {
-      const Annotation& a = s.annotations[mi];
-      if (claimed[mi] || a.line < first_line - 1 || a.line > open_line) {
+    for (size_t mi = 0; mi < annotations.size(); ++mi) {
+      const Annotation& a = annotations[mi];
+      if (!is_marker(a) || claimed[mi] || a.line < def.first_line - 1 ||
+          a.line > def.open_line) {
         continue;
       }
       claimed[mi] = true;
-      if (a.kind == Annotation::kHot) {
+      if (a.verb == "hot") {
         fn.hot_root = true;
       } else if (a.justified) {
         fn.cold = true;
       } else {
         out->annotation_diagnostics.push_back(
             {path, a.line, 1, kRuleBadAnnotation,
-             "'hotlint: cold' requires a '-- justification'", {}});
+             "'hotlint: cold' requires a '-- justification'"});
       }
     }
-    for (int l = first_line - 1; l <= open_line; ++l) {
+    for (int l = def.first_line - 1; l <= def.open_line; ++l) {
       auto it = allows.lines.find(l);
       if (it != allows.lines.end()) {
         fn.sig_allows.insert(it->second.begin(), it->second.end());
@@ -1263,73 +467,50 @@ void ScanFile(const std::string& path, const Scrubbed& s, const AllowMap& allows
     if (fn.hot_root && fn.cold) {
       out->annotation_diagnostics.push_back(
           {path, fn.line, fn.col, kRuleBadAnnotation,
-           "'" + fn.qualified_name + "' is marked both hot and cold", {}});
+           "'" + fn.qualified_name + "' is marked both hot and cold"});
       fn.cold = false;
     }
 
     // The move-sink search covers the ctor-init list too (members are moved
     // there), hence tail_begin rather than the body brace.
-    ScanSignature(ctx, head, head.tail_begin, body_end, &fn);
-    // Ctor-init lists allocate too: scan [tail_begin, i) together with the body.
-    if (head.tail_begin < i) {
+    ScanSignature(ctx, head, head.tail_begin, def.body_end, &fn);
+    // Ctor-init lists allocate too: scan [tail_begin, '{') together with the body.
+    if (head.tail_begin < def.open) {
       size_t t = SkipSpace(code, head.tail_begin);
-      if (t < i && code[t] == ':') {
-        ScanBody(ctx, t + 1, i, &fn);
+      if (t < def.open && code[t] == ':') {
+        ScanBody(ctx, t + 1, def.open, &fn);
       }
     }
-    ScanBody(ctx, i + 1, body_end, &fn);
+    ScanBody(ctx, def.open + 1, def.body_end, &fn);
     out->functions.push_back(std::move(fn));
-
-    i = body_end < code.size() ? body_end + 1 : code.size();
-    head_start = i;
-  }
+  });
 
   // Annotation problems: unknown markers, unjustified allows, unclaimed hot/cold.
-  for (size_t ai = 0; ai < s.annotations.size(); ++ai) {
-    const Annotation& a = s.annotations[ai];
-    switch (a.kind) {
-      case Annotation::kUnknown:
+  for (size_t ai = 0; ai < annotations.size(); ++ai) {
+    const Annotation& a = annotations[ai];
+    if (a.IsAllow()) {
+      if (!a.justified) {
         out->annotation_diagnostics.push_back(
             {path, a.line, 1, kRuleBadAnnotation,
-             "unknown hotlint annotation '" + a.text + "'", {}});
-        break;
-      case Annotation::kAllow: {
-        if (!a.justified) {
-          out->annotation_diagnostics.push_back(
-              {path, a.line, 1, kRuleBadAnnotation,
-               "hotlint: allow(...) requires a '-- justification'", {}});
-        }
-        for (const std::string& r : a.rules) {
-          if (r != "all" && KnownRules().count(r) == 0) {
-            out->annotation_diagnostics.push_back(
-                {path, a.line, 1, kRuleBadAnnotation,
-                 "allow() names unknown rule '" + r + "'", {}});
-          }
-        }
-        break;
+             "hotlint: allow(...) requires a '-- justification'"});
       }
-      case Annotation::kHot:
-      case Annotation::kCold:
-        if (!claimed[ai]) {
-          out->annotation_diagnostics.push_back(
-              {path, a.line, 1, kRuleBadAnnotation,
-               "'hotlint: " + a.text + "' does not attach to a function definition", {}});
-        }
-        break;
-    }
-  }
-}
-
-AllowMap BuildAllowMap(const Scrubbed& s) {
-  AllowMap allows;
-  for (const Annotation& a : s.annotations) {
-    if (a.kind == Annotation::kAllow && a.justified) {
       for (const std::string& r : a.rules) {
-        allows.lines[a.line].insert(r);
+        if (r != "all" && KnownRules().count(r) == 0) {
+          out->annotation_diagnostics.push_back(
+              {path, a.line, 1, kRuleBadAnnotation,
+               "allow() names unknown rule '" + r + "'"});
+        }
       }
+    } else if (!is_marker(a)) {
+      out->annotation_diagnostics.push_back(
+          {path, a.line, 1, kRuleBadAnnotation,
+           "unknown hotlint annotation '" + a.verb + "'"});
+    } else if (!claimed[ai]) {
+      out->annotation_diagnostics.push_back(
+          {path, a.line, 1, kRuleBadAnnotation,
+           "'hotlint: " + a.verb + "' does not attach to a function definition"});
     }
   }
-  return allows;
 }
 
 // Names of unordered_map/unordered_set variables with pointer key types, across
@@ -1392,11 +573,6 @@ const std::set<std::string>& KnownRules() {
   return kRules;
 }
 
-std::string Diagnostic::ToString() const {
-  return file + ":" + std::to_string(line) + ":" + std::to_string(col) + ": [" +
-         rule + "] " + message;
-}
-
 Program BuildProgram(const std::vector<SourceFile>& files) {
   Program out;
   std::vector<Scrubbed> scrubbed;
@@ -1404,11 +580,13 @@ Program BuildProgram(const std::vector<SourceFile>& files) {
   std::set<std::string> ptr_keyed;
   for (const SourceFile& f : files) {
     scrubbed.push_back(Scrub(f.content));
+    scrubbed.back().BlankDirectives();
     CollectPtrKeyedContainers(scrubbed.back(), &ptr_keyed);
   }
   for (size_t i = 0; i < files.size(); ++i) {
-    AllowMap allows = BuildAllowMap(scrubbed[i]);
-    ScanFile(files[i].path, scrubbed[i], allows, ptr_keyed, &out);
+    std::vector<Annotation> annotations = Annotations(scrubbed[i], "hotlint");
+    AllowMap allows = BuildAllowMap(annotations, /*require_justification=*/true);
+    ScanFile(files[i].path, scrubbed[i], annotations, allows, ptr_keyed, &out);
   }
   return out;
 }

@@ -1,17 +1,14 @@
-// wirecheck model builder: scrubs each source file (comments/literals blanked,
-// offsets preserved), recognizes function definitions with a forward structural
-// scan (namespace/class scope stack), parses every function body into a wire-op
+// wirecheck model builder: scrubs each source file with lintcore (directives
+// blanked), walks its function definitions, parses every function body into a wire-op
 // tree (loops -> repeat, if/else and switch -> branch/optional, error-check ifs
 // skipped, local lambdas inlined), resolves cross-function calls (helpers are
 // inlined, annotated codec functions become refs), normalizes the trees, and
 // evaluates the text-level decode-safety rules while the body text is still in
-// hand. Pure text analysis in the buslint/hotlint tradition — no libclang; the
-// scanned file set *is* the program.
+// hand. Pure text analysis — no libclang; the scanned file set *is* the program.
 #include <algorithm>
 #include <cctype>
 #include <map>
 #include <set>
-#include <sstream>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -23,15 +20,15 @@
 namespace ibus::wirecheck {
 namespace {
 
-bool IsIdentChar(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
-}
+using namespace ibus::lintcore;  // NOLINT(google-build-using-namespace)
 
 // ---------------------------------------------------------------------------------
 // Annotations
 // ---------------------------------------------------------------------------------
 
-struct Annotation {
+// A lintcore annotation read with wirecheck's verbs: codec(name, version=N),
+// op(type) and allow(rules). Anything else (or a malformed codec) is kUnknown.
+struct WireAnnotation {
   enum Kind { kCodec, kOp, kAllow, kUnknown } kind = kUnknown;
   int line = 0;
   std::string codec_name;  // kCodec
@@ -39,23 +36,7 @@ struct Annotation {
   std::string op_type;     // kOp
   std::set<std::string> rules;  // kAllow
   bool justified = false;       // has a non-empty `-- reason`
-  bool claimed = false;
-  std::string text;  // for diagnostics
-};
-
-struct Scrubbed {
-  std::string code;
-  std::vector<size_t> line_starts;
-  std::vector<Annotation> annotations;
-
-  int LineOf(size_t offset) const {
-    auto it = std::upper_bound(line_starts.begin(), line_starts.end(), offset);
-    return static_cast<int>(it - line_starts.begin());
-  }
-  int ColOf(size_t offset) const {
-    int line = LineOf(offset);
-    return static_cast<int>(offset - line_starts[static_cast<size_t>(line) - 1]) + 1;
-  }
+  std::string text;             // the verb, for diagnostics
 };
 
 // Maps the op() annotation argument (and schema field tokens) to a kind.
@@ -69,40 +50,25 @@ const std::map<std::string, Op::Kind>& PrimNames() {
   return kMap;
 }
 
-// Parses "wirecheck: codec(name, version=N)|op(type)|allow(a,b) [-- why]".
-void RecordAnnotation(std::string_view comment, int line, Scrubbed* out) {
-  size_t at = comment.find("wirecheck:");
-  if (at == std::string_view::npos) {
-    return;
+WireAnnotation Interpret(const Annotation& in) {
+  WireAnnotation a;
+  a.line = in.line;
+  a.justified = in.justified;
+  a.text = in.verb;
+  if (!in.has_args) {
+    return a;
   }
-  std::string_view rest = comment.substr(at + 10);
-  size_t p = 0;
-  while (p < rest.size() && std::isspace(static_cast<unsigned char>(rest[p])) != 0) {
-    ++p;
-  }
-  rest = rest.substr(p);
-  Annotation a;
-  a.line = line;
-  size_t dash = rest.find("--");
-  if (dash != std::string_view::npos) {
-    std::string_view why = rest.substr(dash + 2);
-    a.justified = why.find_first_not_of(" \t") != std::string_view::npos;
-  }
-  auto inner_of = [&](size_t prefix_len) -> std::string_view {
-    size_t close = rest.find(')', prefix_len);
-    if (close == std::string_view::npos) {
-      return std::string_view();
-    }
-    return rest.substr(prefix_len, close - prefix_len);
+  auto strip = [](std::string v) {
+    v.erase(std::remove_if(v.begin(), v.end(),
+                           [](char c) { return std::isspace(static_cast<unsigned char>(c)) != 0; }),
+            v.end());
+    return v;
   };
-  if (rest.substr(0, 6) == "codec(") {
-    std::string_view inner = inner_of(6);
-    a.text = "codec";
+  if (in.verb == "codec") {
+    std::string_view inner = in.args;
     size_t comma = inner.find(',');
-    if (rest.find(')') == std::string_view::npos || comma == std::string_view::npos) {
-      a.kind = Annotation::kUnknown;
-      out->annotations.push_back(std::move(a));
-      return;
+    if (comma == std::string_view::npos) {
+      return a;
     }
     auto trim = [](std::string_view v) {
       size_t b = v.find_first_not_of(" \t");
@@ -127,234 +93,19 @@ void RecordAnnotation(std::string_view comment, int line, Scrubbed* out) {
         version = version * 10 + (c - '0');
       }
     }
-    if (!name_ok || !ver_ok) {
-      a.kind = Annotation::kUnknown;
-      out->annotations.push_back(std::move(a));
-      return;
+    if (name_ok && ver_ok) {
+      a.kind = WireAnnotation::kCodec;
+      a.codec_name = std::string(name);
+      a.version = version;
     }
-    a.kind = Annotation::kCodec;
-    a.codec_name = std::string(name);
-    a.version = version;
-  } else if (rest.substr(0, 3) == "op(") {
-    std::string_view inner = inner_of(3);
-    a.text = "op";
-    if (rest.find(')') == std::string_view::npos) {
-      a.kind = Annotation::kUnknown;
-      out->annotations.push_back(std::move(a));
-      return;
-    }
-    a.kind = Annotation::kOp;
-    std::string type(inner);
-    type.erase(std::remove_if(type.begin(), type.end(),
-                              [](char c) {
-                                return std::isspace(static_cast<unsigned char>(c)) != 0;
-                              }),
-               type.end());
-    a.op_type = type;
-  } else if (rest.substr(0, 6) == "allow(") {
-    std::string_view inner = inner_of(6);
-    a.text = "allow";
-    if (rest.find(')') == std::string_view::npos) {
-      a.kind = Annotation::kUnknown;
-      out->annotations.push_back(std::move(a));
-      return;
-    }
-    a.kind = Annotation::kAllow;
-    std::stringstream ss{std::string(inner)};
-    std::string rule;
-    while (std::getline(ss, rule, ',')) {
-      rule.erase(std::remove_if(rule.begin(), rule.end(),
-                                [](char c) {
-                                  return std::isspace(static_cast<unsigned char>(c)) != 0;
-                                }),
-                 rule.end());
-      if (!rule.empty()) {
-        a.rules.insert(rule);
-      }
-    }
-  } else {
-    size_t e = 0;
-    while (e < rest.size() && IsIdentChar(rest[e])) {
-      ++e;
-    }
-    a.text = std::string(rest.substr(0, e));
-    a.kind = Annotation::kUnknown;
+  } else if (in.verb == "op") {
+    a.kind = WireAnnotation::kOp;
+    a.op_type = strip(in.args);
+  } else if (in.IsAllow()) {
+    a.kind = WireAnnotation::kAllow;
+    a.rules = in.rules;
   }
-  out->annotations.push_back(std::move(a));
-}
-
-// Source text with comments, literal contents, and preprocessor lines blanked
-// (newlines kept, so offsets/line numbers survive).
-Scrubbed Scrub(std::string_view src) {
-  Scrubbed out;
-  out.code.assign(src.size(), ' ');
-  out.line_starts.push_back(0);
-  size_t i = 0;
-  bool at_line_start = true;
-  auto copy_nl = [&](size_t pos) {
-    out.code[pos] = '\n';
-    out.line_starts.push_back(pos + 1);
-    at_line_start = true;
-  };
-  while (i < src.size()) {
-    char c = src[i];
-    if (c == '\n') {
-      copy_nl(i);
-      ++i;
-      continue;
-    }
-    if (at_line_start && c == '#') {
-      while (i < src.size()) {
-        size_t end = src.find('\n', i);
-        if (end == std::string_view::npos) {
-          i = src.size();
-          break;
-        }
-        bool continued = end > i && src[end - 1] == '\\';
-        copy_nl(end);
-        i = end + 1;
-        if (!continued) {
-          break;
-        }
-      }
-      continue;
-    }
-    if (std::isspace(static_cast<unsigned char>(c)) == 0) {
-      at_line_start = false;
-    }
-    if (c == '/' && i + 1 < src.size() && src[i + 1] == '/') {
-      size_t end = src.find('\n', i);
-      if (end == std::string_view::npos) {
-        end = src.size();
-      }
-      RecordAnnotation(src.substr(i, end - i),
-                       static_cast<int>(out.line_starts.size()), &out);
-      i = end;
-      continue;
-    }
-    if (c == '/' && i + 1 < src.size() && src[i + 1] == '*') {
-      size_t end = src.find("*/", i + 2);
-      end = end == std::string_view::npos ? src.size() : end + 2;
-      for (size_t j = i; j < end; ++j) {
-        if (src[j] == '\n') {
-          copy_nl(j);
-        }
-      }
-      i = end;
-      continue;
-    }
-    if (c == '"' || c == '\'') {
-      if (c == '"' && i > 0 && src[i - 1] == 'R') {
-        size_t paren = src.find('(', i);
-        if (paren != std::string_view::npos) {
-          std::string closer = ")" + std::string(src.substr(i + 1, paren - i - 1)) + "\"";
-          size_t end = src.find(closer, paren + 1);
-          if (end != std::string_view::npos) {
-            out.code[i] = '"';
-            size_t close_q = end + closer.size() - 1;
-            out.code[close_q] = '"';
-            for (size_t j = i; j < close_q; ++j) {
-              if (src[j] == '\n') {
-                copy_nl(j);
-              }
-            }
-            i = close_q + 1;
-            continue;
-          }
-        }
-      }
-      char quote = c;
-      size_t start = i;
-      ++i;
-      while (i < src.size() && src[i] != quote) {
-        if (src[i] == '\\' && i + 1 < src.size()) {
-          i += 2;
-          continue;
-        }
-        if (src[i] == '\n') {
-          break;
-        }
-        ++i;
-      }
-      out.code[start] = quote;
-      if (i < src.size() && src[i] == quote) {
-        out.code[i] = quote;
-        ++i;
-      }
-      continue;
-    }
-    out.code[i] = c;
-    ++i;
-  }
-  return out;
-}
-
-// ---------------------------------------------------------------------------------
-// Token helpers
-// ---------------------------------------------------------------------------------
-
-size_t SkipSpace(std::string_view s, size_t i) {
-  while (i < s.size() && std::isspace(static_cast<unsigned char>(s[i])) != 0) {
-    ++i;
-  }
-  return i;
-}
-
-size_t PrevMeaningful(std::string_view s, size_t i) {
-  while (i > 0) {
-    --i;
-    if (std::isspace(static_cast<unsigned char>(s[i])) == 0) {
-      return i;
-    }
-  }
-  return std::string_view::npos;
-}
-
-// Offset just past the matching close for the opener at `open`, or npos.
-size_t MatchPair(std::string_view s, size_t open, char oc, char cc) {
-  int depth = 0;
-  for (size_t i = open; i < s.size(); ++i) {
-    if (s[i] == oc) {
-      ++depth;
-    } else if (s[i] == cc) {
-      if (--depth == 0) {
-        return i + 1;
-      }
-    }
-  }
-  return std::string_view::npos;
-}
-
-size_t MatchParen(std::string_view s, size_t open) { return MatchPair(s, open, '(', ')'); }
-size_t MatchBrace(std::string_view s, size_t open) { return MatchPair(s, open, '{', '}'); }
-size_t MatchBracket(std::string_view s, size_t open) { return MatchPair(s, open, '[', ']'); }
-
-size_t MatchAngle(std::string_view s, size_t open) {
-  int depth = 0;
-  for (size_t i = open; i < s.size(); ++i) {
-    char c = s[i];
-    if (c == '<') {
-      ++depth;
-    } else if (c == '>') {
-      if (--depth == 0) {
-        return i + 1;
-      }
-    } else if (c == ';' || c == '{' || c == '}') {
-      return std::string_view::npos;
-    }
-  }
-  return std::string_view::npos;
-}
-
-const std::unordered_set<std::string_view>& ControlKeywords() {
-  static const std::unordered_set<std::string_view> kSet = {
-      "if",       "for",     "while",    "switch",   "catch",       "return",
-      "sizeof",   "alignof", "decltype", "noexcept", "static_cast", "dynamic_cast",
-      "const_cast", "reinterpret_cast", "new", "delete", "else", "do", "case",
-      "requires", "co_await", "co_return", "co_yield", "throw", "assert",
-      "static_assert", "defined", "alignas", "typeid",
-  };
-  return kSet;
+  return a;
 }
 
 // Method/free-call names that can never be a wire helper worth resolving;
@@ -371,48 +122,6 @@ const std::unordered_set<std::string_view>& NoiseNames() {
   return kSet;
 }
 
-// Number of top-level arguments inside the '(' at `open` (0 for empty parens).
-size_t CountArgs(std::string_view code, size_t open, size_t past) {
-  size_t args = 0;
-  int paren = 0;
-  int angle = 0;
-  int brace = 0;
-  int bracket = 0;
-  bool any = false;
-  for (size_t i = open; i + 1 < past; ++i) {
-    char c = code[i];
-    if (c == '(') {
-      ++paren;
-      continue;
-    }
-    if (c == ')') {
-      --paren;
-      continue;
-    }
-    if (paren > 1) {
-      continue;
-    }
-    if (c == '<') {
-      ++angle;
-    } else if (c == '>') {
-      angle = angle > 0 ? angle - 1 : 0;
-    } else if (c == '{') {
-      ++brace;
-    } else if (c == '}') {
-      --brace;
-    } else if (c == '[') {
-      ++bracket;
-    } else if (c == ']') {
-      --bracket;
-    } else if (c == ',' && angle == 0 && brace == 0 && bracket == 0) {
-      ++args;
-    } else if (std::isspace(static_cast<unsigned char>(c)) == 0) {
-      any = true;
-    }
-  }
-  return any ? args + 1 : 0;
-}
-
 // Counts parameters in [begin, end): min excludes defaulted ones, a pack or
 // varargs widens max to "anything".
 void CountParams(std::string_view code, size_t begin, size_t end, size_t* min_p,
@@ -420,294 +129,13 @@ void CountParams(std::string_view code, size_t begin, size_t end, size_t* min_p,
   size_t total = 0;
   size_t defaulted = 0;
   bool pack = false;
-  int paren = 0;
-  int angle = 0;
-  int brace = 0;
-  size_t start = begin;
-  auto flush = [&](size_t stop) {
-    size_t s = SkipSpace(code, start);
-    if (s >= stop) {
-      return;
-    }
+  for (const ParamDecl& p : SplitParams(code, begin, end)) {
     ++total;
-    std::string_view t = code.substr(s, stop - s);
-    int pd = 0;
-    int ad = 0;
-    for (size_t j = 0; j < t.size(); ++j) {
-      char c = t[j];
-      if (c == '(') {
-        ++pd;
-      } else if (c == ')') {
-        --pd;
-      } else if (c == '<') {
-        ++ad;
-      } else if (c == '>') {
-        ad = ad > 0 ? ad - 1 : 0;
-      } else if (c == '=' && pd == 0 && ad == 0) {
-        ++defaulted;
-        break;
-      }
-    }
-    if (t.find("...") != std::string_view::npos) {
-      pack = true;
-    }
-  };
-  for (size_t i = begin; i < end; ++i) {
-    char c = code[i];
-    if (c == '(') {
-      ++paren;
-    } else if (c == ')') {
-      --paren;
-    } else if (c == '<') {
-      ++angle;
-    } else if (c == '>') {
-      angle = angle > 0 ? angle - 1 : 0;
-    } else if (c == '{') {
-      ++brace;
-    } else if (c == '}') {
-      --brace;
-    } else if (c == ',' && paren == 0 && angle == 0 && brace == 0) {
-      flush(i);
-      start = i + 1;
-    }
+    defaulted += p.has_default ? 1 : 0;
+    pack = pack || p.is_pack;
   }
-  flush(end);
   *min_p = total - defaulted;
   *max_p = pack ? static_cast<size_t>(-1) : total;
-}
-
-// ---------------------------------------------------------------------------------
-// Declaration-head classification (ported from hotlint)
-// ---------------------------------------------------------------------------------
-
-struct HeadInfo {
-  enum Kind { kOther, kNamespace, kClass, kFunction } kind = kOther;
-  std::string name;
-  size_t name_off = 0;
-  std::vector<std::string> qualifiers;
-  size_t params_begin = 0;
-  size_t params_end = 0;
-  size_t return_begin = 0;
-  size_t return_end = 0;
-  size_t tail_begin = 0;
-};
-
-HeadInfo ClassifyHead(std::string_view code, size_t begin, size_t end) {
-  HeadInfo info;
-  size_t i = SkipSpace(code, begin);
-  while (i < end) {
-    if (code.compare(i, 8, "template") == 0 &&
-        (i + 8 >= end || !IsIdentChar(code[i + 8]))) {
-      size_t lt = SkipSpace(code, i + 8);
-      if (lt < end && code[lt] == '<') {
-        size_t past = MatchAngle(code, lt);
-        if (past == std::string_view::npos || past > end) {
-          return info;
-        }
-        i = SkipSpace(code, past);
-        continue;
-      }
-    }
-    if (code.compare(i, 2, "[[") == 0) {
-      size_t close = code.find("]]", i + 2);
-      if (close == std::string_view::npos || close >= end) {
-        return info;
-      }
-      i = SkipSpace(code, close + 2);
-      continue;
-    }
-    break;
-  }
-  if (i >= end) {
-    return info;
-  }
-  size_t head_begin = i;
-
-  static const std::unordered_set<std::string_view> kScopeKeywords = {
-      "namespace", "class", "struct", "union", "enum"};
-  int paren = 0;
-  size_t scope_kw_at = std::string_view::npos;
-  std::string scope_kw;
-  size_t first_paren = std::string_view::npos;
-  {
-    size_t j = head_begin;
-    int angle = 0;
-    while (j < end) {
-      char c = code[j];
-      if (IsIdentChar(c) && (j == 0 || !IsIdentChar(code[j - 1]))) {
-        size_t k = j;
-        while (k < end && IsIdentChar(code[k])) {
-          ++k;
-        }
-        std::string_view tok = code.substr(j, k - j);
-        if (paren == 0 && angle == 0 && first_paren == std::string_view::npos &&
-            kScopeKeywords.count(tok) > 0) {
-          scope_kw_at = j;
-          scope_kw = std::string(tok);
-          break;
-        }
-        j = k;
-        continue;
-      }
-      if (c == '<') {
-        size_t past = MatchAngle(code, j);
-        if (past != std::string_view::npos && past <= end) {
-          j = past;
-          continue;
-        }
-      }
-      if (c == '(') {
-        if (paren == 0 && angle == 0 && first_paren == std::string_view::npos) {
-          first_paren = j;
-        }
-        ++paren;
-      } else if (c == ')') {
-        --paren;
-      }
-      ++j;
-    }
-  }
-
-  if (scope_kw_at != std::string_view::npos) {
-    if (scope_kw == "namespace") {
-      info.kind = HeadInfo::kNamespace;
-    } else if (scope_kw == "class" || scope_kw == "struct") {
-      info.kind = HeadInfo::kClass;
-    } else {
-      info.kind = HeadInfo::kOther;
-      return info;
-    }
-    size_t j = SkipSpace(code, scope_kw_at + scope_kw.size());
-    while (j < end && code.compare(j, 2, "[[") == 0) {
-      size_t close = code.find("]]", j);
-      if (close == std::string_view::npos) {
-        break;
-      }
-      j = SkipSpace(code, close + 2);
-    }
-    size_t k = j;
-    while (k < end && IsIdentChar(code[k])) {
-      ++k;
-    }
-    info.name = std::string(code.substr(j, k - j));
-    return info;
-  }
-
-  if (first_paren == std::string_view::npos) {
-    return info;
-  }
-  size_t params_past = MatchParen(code, first_paren);
-  if (params_past == std::string_view::npos || params_past > end) {
-    return info;
-  }
-
-  size_t before = PrevMeaningful(code, first_paren);
-  if (before == std::string_view::npos || before < head_begin) {
-    return info;
-  }
-  size_t name_end = before + 1;
-  size_t name_begin = name_end;
-  if (IsIdentChar(code[before])) {
-    while (name_begin > head_begin && IsIdentChar(code[name_begin - 1])) {
-      --name_begin;
-    }
-  } else {
-    size_t sym_begin = name_end;
-    while (sym_begin > head_begin && !IsIdentChar(code[sym_begin - 1]) &&
-           std::isspace(static_cast<unsigned char>(code[sym_begin - 1])) == 0) {
-      --sym_begin;
-    }
-    size_t op_end = sym_begin;
-    size_t op_begin = op_end;
-    while (op_begin > head_begin && IsIdentChar(code[op_begin - 1])) {
-      --op_begin;
-    }
-    if (code.substr(op_begin, op_end - op_begin) != "operator") {
-      return info;
-    }
-    name_begin = op_begin;
-  }
-  std::string name(code.substr(name_begin, name_end - name_begin));
-  if (name == "operator") {
-    size_t next = SkipSpace(code, params_past);
-    if (next < end && code[next] == '(') {
-      size_t past2 = MatchParen(code, next);
-      if (past2 == std::string_view::npos || past2 > end) {
-        return info;
-      }
-      name = "operator()";
-      first_paren = next;
-      params_past = past2;
-    } else {
-      name += std::string(code.substr(name_end, first_paren - name_end));
-      while (!name.empty() && std::isspace(static_cast<unsigned char>(name.back())) != 0) {
-        name.pop_back();
-      }
-    }
-  }
-  if (name.empty() || ControlKeywords().count(name) > 0) {
-    return info;
-  }
-  if (name_begin > head_begin) {
-    size_t prev = PrevMeaningful(code, name_begin);
-    if (prev != std::string_view::npos && prev >= head_begin && code[prev] == '~') {
-      name = "~" + name;
-      name_begin = prev;
-    }
-  }
-
-  size_t chain_begin = name_begin;
-  std::vector<std::string> quals;
-  while (true) {
-    size_t prev = PrevMeaningful(code, chain_begin);
-    if (prev == std::string_view::npos || prev < head_begin || prev < 1 ||
-        code[prev] != ':' || code[prev - 1] != ':') {
-      break;
-    }
-    size_t q_end_pos = PrevMeaningful(code, prev - 1);
-    if (q_end_pos == std::string_view::npos || q_end_pos < head_begin) {
-      break;
-    }
-    if (code[q_end_pos] == '>') {
-      int depth = 0;
-      size_t j = q_end_pos + 1;
-      while (j > head_begin) {
-        --j;
-        if (code[j] == '>') {
-          ++depth;
-        } else if (code[j] == '<') {
-          if (--depth == 0) {
-            break;
-          }
-        }
-      }
-      q_end_pos = PrevMeaningful(code, j);
-      if (q_end_pos == std::string_view::npos || q_end_pos < head_begin ||
-          !IsIdentChar(code[q_end_pos])) {
-        break;
-      }
-    }
-    if (!IsIdentChar(code[q_end_pos])) {
-      break;
-    }
-    size_t q_begin = q_end_pos + 1;
-    while (q_begin > head_begin && IsIdentChar(code[q_begin - 1])) {
-      --q_begin;
-    }
-    quals.insert(quals.begin(), std::string(code.substr(q_begin, q_end_pos + 1 - q_begin)));
-    chain_begin = q_begin;
-  }
-
-  info.kind = HeadInfo::kFunction;
-  info.name = std::move(name);
-  info.name_off = name_begin;
-  info.qualifiers = std::move(quals);
-  info.params_begin = first_paren + 1;
-  info.params_end = params_past - 1;
-  info.return_begin = head_begin;
-  info.return_end = chain_begin;
-  info.tail_begin = params_past;
-  return info;
 }
 
 // ---------------------------------------------------------------------------------
@@ -766,16 +194,6 @@ struct FnInfo {
   std::set<std::string> fn_allows;
   std::vector<ReadSite> reads;
   std::vector<LoopSite> loops;
-};
-
-struct AllowMap {
-  std::unordered_map<int, std::set<std::string>> lines;
-
-  bool Allowed(int line, std::string_view rule) const {
-    auto it = lines.find(line);
-    return it != lines.end() &&
-           (it->second.count(std::string(rule)) > 0 || it->second.count("all") > 0);
-  }
 };
 
 const std::map<std::string_view, Op::Kind>& PutMap() {
@@ -1664,11 +1082,6 @@ const std::set<std::string>& KnownRules() {
       kRuleUncheckedIndex,
   };
   return kRules;
-}
-
-std::string Diagnostic::ToString() const {
-  return file + ":" + std::to_string(line) + ":" + std::to_string(col) + ": [" +
-         rule + "] " + message;
 }
 
 std::string_view OpKindName(Op::Kind kind) {

@@ -4,9 +4,7 @@
 #include <cctype>
 #include <map>
 #include <set>
-#include <sstream>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "src/subject/subject.h"
@@ -15,208 +13,16 @@
 namespace ibus::buslint {
 namespace {
 
-bool IsIdentChar(char c) { return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_'; }
+using namespace ibus::lintcore;  // NOLINT(google-build-using-namespace)
 
-// Source text with comments and literal *contents* blanked out (newlines kept, so
-// offsets and line numbers survive). String literals keep their quotes in `code`;
-// the original content is retrievable by the offset of the opening quote.
-struct Scrubbed {
-  std::string code;
-  // Offset of the opening '"' -> raw characters between the quotes.
-  std::unordered_map<size_t, std::string> literals;
-  // Opening-quote offsets of raw strings: their contents carry no C++ escapes,
-  // so they must not be run through UnescapeCpp.
-  std::unordered_set<size_t> raw_literals;
-  // Line number (1-based) -> rules allowed by a `buslint: allow(...)` comment.
-  std::unordered_map<int, std::set<std::string>> allows;
-  std::vector<size_t> line_starts;  // offset of the first char of each line
+// The rules read comments, literals and directive lines as written: buslint
+// never blanks preprocessor lines, so macro bodies are linted and an allow on
+// an `#include` line counts.
+struct Source : Scrubbed {
+  AllowMap allows;  // `buslint: allow(...)`; no justification needed
 
-  int LineOf(size_t offset) const {
-    auto it = std::upper_bound(line_starts.begin(), line_starts.end(), offset);
-    return static_cast<int>(it - line_starts.begin());
-  }
-
-  bool Allowed(int line, const char* rule) const {
-    auto it = allows.find(line);
-    return it != allows.end() &&
-           (it->second.count(rule) > 0 || it->second.count("all") > 0);
-  }
+  bool Allowed(int line, const char* rule) const { return allows.Allowed(line, rule); }
 };
-
-// Records `buslint: allow(a,b)` found in a comment spanning [line_begin, line_end].
-void RecordAllowComment(std::string_view comment, int line, Scrubbed* out) {
-  size_t at = comment.find("buslint: allow(");
-  if (at == std::string_view::npos) {
-    return;
-  }
-  size_t open = comment.find('(', at);
-  size_t close = comment.find(')', open);
-  if (close == std::string_view::npos) {
-    return;
-  }
-  std::string rules(comment.substr(open + 1, close - open - 1));
-  std::stringstream ss(rules);
-  std::string rule;
-  while (std::getline(ss, rule, ',')) {
-    rule.erase(std::remove_if(rule.begin(), rule.end(),
-                              [](char c) { return std::isspace(static_cast<unsigned char>(c)); }),
-               rule.end());
-    if (!rule.empty()) {
-      out->allows[line].insert(rule);
-    }
-  }
-}
-
-Scrubbed Scrub(std::string_view src) {
-  Scrubbed out;
-  out.code.assign(src.size(), ' ');
-  out.line_starts.push_back(0);
-  size_t i = 0;
-  auto copy_nl = [&](size_t pos) {
-    out.code[pos] = '\n';
-    out.line_starts.push_back(pos + 1);
-  };
-  while (i < src.size()) {
-    char c = src[i];
-    if (c == '\n') {
-      copy_nl(i);
-      ++i;
-      continue;
-    }
-    if (c == '/' && i + 1 < src.size() && src[i + 1] == '/') {
-      size_t end = src.find('\n', i);
-      if (end == std::string_view::npos) {
-        end = src.size();
-      }
-      RecordAllowComment(src.substr(i, end - i),
-                        static_cast<int>(out.line_starts.size()), &out);
-      i = end;  // newline handled by the main loop
-      continue;
-    }
-    if (c == '/' && i + 1 < src.size() && src[i + 1] == '*') {
-      size_t end = src.find("*/", i + 2);
-      if (end == std::string_view::npos) {
-        end = src.size();
-      } else {
-        end += 2;
-      }
-      for (size_t j = i; j < end; ++j) {
-        if (src[j] == '\n') {
-          copy_nl(j);
-        }
-      }
-      i = end;
-      continue;
-    }
-    if (c == '"' || c == '\'') {
-      // Raw strings: R"delim( ... )delim".
-      if (c == '"' && i > 0 && src[i - 1] == 'R') {
-        size_t paren = src.find('(', i);
-        if (paren != std::string_view::npos) {
-          std::string delim(src.substr(i + 1, paren - i - 1));
-          std::string closer = ")" + delim + "\"";
-          size_t end = src.find(closer, paren + 1);
-          if (end != std::string_view::npos) {
-            out.code[i] = '"';
-            out.literals[i] = std::string(src.substr(paren + 1, end - paren - 1));
-            out.raw_literals.insert(i);
-            size_t close_q = end + closer.size() - 1;
-            out.code[close_q] = '"';
-            for (size_t j = i; j < close_q; ++j) {
-              if (src[j] == '\n') {
-                copy_nl(j);
-              }
-            }
-            i = close_q + 1;
-            continue;
-          }
-        }
-      }
-      char quote = c;
-      size_t start = i;
-      ++i;
-      std::string content;
-      while (i < src.size() && src[i] != quote) {
-        if (src[i] == '\\' && i + 1 < src.size()) {
-          content.push_back(src[i]);
-          content.push_back(src[i + 1]);
-          i += 2;
-          continue;
-        }
-        if (src[i] == '\n') {  // unterminated literal; bail at line end
-          break;
-        }
-        content.push_back(src[i]);
-        ++i;
-      }
-      out.code[start] = quote;
-      if (i < src.size() && src[i] == quote) {
-        out.code[i] = quote;
-        ++i;
-      }
-      if (quote == '"') {
-        out.literals[start] = std::move(content);
-      }
-      continue;
-    }
-    out.code[i] = c;
-    ++i;
-  }
-  return out;
-}
-
-size_t SkipSpace(const std::string& s, size_t i) {
-  while (i < s.size() && std::isspace(static_cast<unsigned char>(s[i])) != 0) {
-    ++i;
-  }
-  return i;
-}
-
-// Walks backwards over whitespace; returns the offset of the previous meaningful
-// char, or npos at start of file.
-size_t PrevMeaningful(const std::string& s, size_t i) {
-  while (i > 0) {
-    --i;
-    if (std::isspace(static_cast<unsigned char>(s[i])) == 0) {
-      return i;
-    }
-  }
-  return std::string::npos;
-}
-
-// Offset just past the matching ')' for the '(' at `open`, or npos.
-size_t MatchParen(const std::string& s, size_t open) {
-  int depth = 0;
-  for (size_t i = open; i < s.size(); ++i) {
-    if (s[i] == '(') {
-      ++depth;
-    } else if (s[i] == ')') {
-      if (--depth == 0) {
-        return i + 1;
-      }
-    }
-  }
-  return std::string::npos;
-}
-
-// Yields every identifier token in `code` as (offset, text).
-template <typename Fn>
-void ForEachIdentifier(const std::string& code, Fn&& fn) {
-  size_t i = 0;
-  while (i < code.size()) {
-    if (IsIdentChar(code[i]) && (i == 0 || !IsIdentChar(code[i - 1])) &&
-        std::isdigit(static_cast<unsigned char>(code[i])) == 0) {
-      size_t j = i;
-      while (j < code.size() && IsIdentChar(code[j])) {
-        ++j;
-      }
-      fn(i, std::string_view(code).substr(i, j - i));
-      i = j;
-      continue;
-    }
-    ++i;
-  }
-}
 
 bool StartsWith(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
@@ -233,25 +39,15 @@ bool PathIsDeterministicCore(const std::string& rel_path) {
          StartsWith(rel_path, "src/telemetry/");
 }
 
-void CheckNondeterminism(const std::string& rel_path, const Scrubbed& s,
+void CheckNondeterminism(const std::string& rel_path, const Source& s,
                          std::vector<Violation>* out) {
   if (!PathIsDeterministicCore(rel_path)) {
     return;
   }
-  static const std::unordered_set<std::string_view> kBanned = {
-      "srand",         "rand_r",       "drand48",
-      "random_device", "mt19937",      "mt19937_64",
-      "minstd_rand",   "default_random_engine",
-      "system_clock",  "steady_clock", "high_resolution_clock",
-      "getenv",        "gettimeofday", "clock_gettime",
-      "localtime",     "gmtime",
-  };
-  // Common words; only ban when called as a function.
-  static const std::unordered_set<std::string_view> kBannedCalls = {"rand", "time", "clock"};
-
-  ForEachIdentifier(s.code, [&](size_t off, std::string_view ident) {
-    bool banned = kBanned.count(ident) > 0;
-    if (!banned && kBannedCalls.count(ident) > 0) {
+  ForEachIdentifier(s.code, 0, s.code.size(), [&](size_t off, std::string_view ident) {
+    Nondet kind = NondetPrimitive(ident);
+    bool banned = kind == Nondet::kAlways;
+    if (kind == Nondet::kWhenCalled) {
       size_t next = SkipSpace(s.code, off + ident.size());
       banned = next < s.code.size() && s.code[next] == '(';
     }
@@ -262,7 +58,7 @@ void CheckNondeterminism(const std::string& rel_path, const Scrubbed& s,
     if (s.Allowed(line, kRuleNondeterminism)) {
       return;
     }
-    out->push_back({rel_path, line, kRuleNondeterminism,
+    out->push_back({rel_path, line, 0, kRuleNondeterminism,
                     "'" + std::string(ident) +
                         "' in deterministic core (src/sim, src/bus, src/router, "
                         "src/capture, src/journal, src/prof must use Simulator time "
@@ -274,14 +70,14 @@ void CheckNondeterminism(const std::string& rel_path, const Scrubbed& s,
 // Rule: subject-literal
 // ---------------------------------------------------------------------------------
 
-void CheckSubjectLiterals(const std::string& rel_path, const Scrubbed& s,
+void CheckSubjectLiterals(const std::string& rel_path, const Source& s,
                           std::vector<Violation>* out) {
   // API name -> true when the argument is a pattern (wildcards allowed).
   static const std::map<std::string_view, bool> kApis = {
       {"Publish", false},   {"PublishObject", false},
       {"Subscribe", true},  {"SubscribeObjects", true},
   };
-  ForEachIdentifier(s.code, [&](size_t off, std::string_view ident) {
+  ForEachIdentifier(s.code, 0, s.code.size(), [&](size_t off, std::string_view ident) {
     auto api = kApis.find(ident);
     if (api == kApis.end()) {
       return;
@@ -312,7 +108,7 @@ void CheckSubjectLiterals(const std::string& rel_path, const Scrubbed& s,
     }
     Status status = api->second ? ValidatePattern(lit->second) : ValidateSubject(lit->second);
     if (!status.ok()) {
-      out->push_back({rel_path, line, kRuleSubjectLiteral,
+      out->push_back({rel_path, line, 0, kRuleSubjectLiteral,
                       std::string(ident) + "(\"" + lit->second +
                           "\"): " + status.ToString()});
     }
@@ -323,7 +119,7 @@ void CheckSubjectLiterals(const std::string& rel_path, const Scrubbed& s,
 // Rule: decode-pair (headers only)
 // ---------------------------------------------------------------------------------
 
-void CheckDecodePairs(const std::string& rel_path, const Scrubbed& s,
+void CheckDecodePairs(const std::string& rel_path, const Source& s,
                       std::vector<Violation>* out) {
   if (rel_path.size() < 2 || rel_path.substr(rel_path.size() - 2) != ".h") {
     return;
@@ -335,7 +131,7 @@ void CheckDecodePairs(const std::string& rel_path, const Scrubbed& s,
     std::string expected;
   };
   std::vector<Encoder> encoders;
-  ForEachIdentifier(s.code, [&](size_t off, std::string_view ident) {
+  ForEachIdentifier(s.code, 0, s.code.size(), [&](size_t off, std::string_view ident) {
     idents.insert(std::string(ident));
     size_t next = SkipSpace(s.code, off + ident.size());
     if (next >= s.code.size() || s.code[next] != '(') {
@@ -363,7 +159,7 @@ void CheckDecodePairs(const std::string& rel_path, const Scrubbed& s,
     if (s.Allowed(line, kRuleDecodePair)) {
       continue;
     }
-    out->push_back({rel_path, line, kRuleDecodePair,
+    out->push_back({rel_path, line, 0, kRuleDecodePair,
                     "encoder '" + e.name + "' has no matching '" + e.expected +
                         "' in this header"});
   }
@@ -383,9 +179,9 @@ bool IsDecodeName(std::string_view ident) {
          ident == "FromWire";
 }
 
-void CheckDecodeChecked(const std::string& rel_path, const Scrubbed& s,
+void CheckDecodeChecked(const std::string& rel_path, const Source& s,
                         std::vector<Violation>* out) {
-  ForEachIdentifier(s.code, [&](size_t off, std::string_view ident) {
+  ForEachIdentifier(s.code, 0, s.code.size(), [&](size_t off, std::string_view ident) {
     if (!IsDecodeName(ident)) {
       return;
     }
@@ -423,7 +219,7 @@ void CheckDecodeChecked(const std::string& rel_path, const Scrubbed& s,
     if (s.Allowed(line, kRuleDecodeChecked)) {
       return;
     }
-    out->push_back({rel_path, line, kRuleDecodeChecked,
+    out->push_back({rel_path, line, 0, kRuleDecodeChecked,
                     "result of '" + std::string(ident) +
                         "' is discarded; check it or cast to (void)"});
   });
@@ -433,9 +229,9 @@ void CheckDecodeChecked(const std::string& rel_path, const Scrubbed& s,
 // Rule: raw-new-delete
 // ---------------------------------------------------------------------------------
 
-void CheckRawNewDelete(const std::string& rel_path, const Scrubbed& s,
+void CheckRawNewDelete(const std::string& rel_path, const Source& s,
                        std::vector<Violation>* out) {
-  ForEachIdentifier(s.code, [&](size_t off, std::string_view ident) {
+  ForEachIdentifier(s.code, 0, s.code.size(), [&](size_t off, std::string_view ident) {
     if (ident != "new" && ident != "delete") {
       return;
     }
@@ -448,7 +244,7 @@ void CheckRawNewDelete(const std::string& rel_path, const Scrubbed& s,
       if (prev != std::string::npos && s.code[prev] == '=') {
         return;  // deleted special member
       }
-      out->push_back({rel_path, line, kRuleRawNewDelete,
+      out->push_back({rel_path, line, 0, kRuleRawNewDelete,
                       "raw 'delete'; use owning smart pointers"});
       return;
     }
@@ -477,7 +273,7 @@ void CheckRawNewDelete(const std::string& rel_path, const Scrubbed& s,
         return;
       }
     }
-    out->push_back({rel_path, line, kRuleRawNewDelete,
+    out->push_back({rel_path, line, 0, kRuleRawNewDelete,
                     "raw 'new' outside the unique_ptr/shared_ptr factory idiom"});
   });
 }
@@ -486,7 +282,7 @@ void CheckRawNewDelete(const std::string& rel_path, const Scrubbed& s,
 // Rule: reserved-subject
 // ---------------------------------------------------------------------------------
 
-void CheckReservedSubjects(const std::string& rel_path, const Scrubbed& s,
+void CheckReservedSubjects(const std::string& rel_path, const Source& s,
                            std::vector<Violation>* out) {
   // The telemetry subsystem and the bus services define/use the reserved namespace;
   // everywhere else must spell it via the kReserved* constants in subject.h so the
@@ -502,7 +298,7 @@ void CheckReservedSubjects(const std::string& rel_path, const Scrubbed& s,
     if (s.Allowed(line, kRuleReservedSubject)) {
       continue;
     }
-    out->push_back({rel_path, line, kRuleReservedSubject,
+    out->push_back({rel_path, line, 0, kRuleReservedSubject,
                     "literal \"" + content +
                         "\" names the reserved bus-internal namespace; use the "
                         "kReserved* constants from src/subject/subject.h"});
@@ -513,7 +309,7 @@ void CheckReservedSubjects(const std::string& rel_path, const Scrubbed& s,
 // Rule: tdl-string
 // ---------------------------------------------------------------------------------
 
-// Interprets the C++ escape sequences the Scrubbed literal map preserves
+// Interprets the C++ escape sequences the scrubbed literal map preserves
 // verbatim. Raw-string contents carry no C++ escapes, so this is the identity
 // for them (a lone backslash only appears there as TDL's own escape, which the
 // TDL reader handles the same way).
@@ -547,12 +343,12 @@ std::string UnescapeCpp(std::string_view content) {
   return out;
 }
 
-void CheckTdlStrings(const std::string& rel_path, const Scrubbed& s,
+void CheckTdlStrings(const std::string& rel_path, const Source& s,
                      std::vector<Violation>* out) {
   // Entry points that hand a C++ string straight to the TDL reader.
   static const std::unordered_set<std::string_view> kApis = {
       "RunScript", "EvalProgram", "ParseTdl", "ParseTdlOne"};
-  ForEachIdentifier(s.code, [&](size_t off, std::string_view ident) {
+  ForEachIdentifier(s.code, 0, s.code.size(), [&](size_t off, std::string_view ident) {
     if (kApis.count(ident) == 0) {
       return;
     }
@@ -591,7 +387,7 @@ void CheckTdlStrings(const std::string& rel_path, const Scrubbed& s,
         s.raw_literals.count(p) > 0 ? lit->second : UnescapeCpp(lit->second);
     auto parsed = ParseTdl(script, &err);
     if (!parsed.ok()) {
-      out->push_back({rel_path, line, kRuleTdlString,
+      out->push_back({rel_path, line, 0, kRuleTdlString,
                       "TDL literal passed to '" + std::string(ident) +
                           "' does not parse (script line " + std::to_string(err.line) + ":" +
                           std::to_string(err.col) + ": " + err.what + ")"});
@@ -601,12 +397,9 @@ void CheckTdlStrings(const std::string& rel_path, const Scrubbed& s,
 
 }  // namespace
 
-std::string Violation::ToString() const {
-  return file + ":" + std::to_string(line) + ": [" + rule + "] " + message;
-}
-
 std::vector<Violation> LintSource(const std::string& rel_path, std::string_view content) {
-  Scrubbed s = Scrub(content);
+  Source s{Scrub(content), {}};
+  s.allows = BuildAllowMap(Annotations(s, "buslint"), /*require_justification=*/false);
   std::vector<Violation> out;
   CheckNondeterminism(rel_path, s, &out);
   CheckSubjectLiterals(rel_path, s, &out);

@@ -2,29 +2,16 @@
 // prints violations, and exits nonzero when any are found.
 //
 //   buslint --root /path/to/repo src bench examples
-#include <algorithm>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "src/lintcore/lintcore.h"
 #include "tools/buslint/buslint.h"
 
-namespace fs = std::filesystem;
-
-namespace {
-
-bool IsCppSource(const fs::path& p) {
-  const std::string ext = p.extension().string();
-  return ext == ".h" || ext == ".cc" || ext == ".cpp" || ext == ".hpp";
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  fs::path root = fs::current_path();
+  std::filesystem::path root = std::filesystem::current_path();
   std::vector<std::string> targets;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -42,45 +29,23 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  std::vector<fs::path> files;
-  for (const std::string& t : targets) {
-    fs::path p = root / t;
-    std::error_code ec;
-    if (fs::is_directory(p, ec)) {
-      for (const auto& entry : fs::recursive_directory_iterator(p, ec)) {
-        if (entry.is_regular_file() && IsCppSource(entry.path())) {
-          files.push_back(entry.path());
-        }
-      }
-    } else if (fs::is_regular_file(p, ec)) {
-      files.push_back(p);
-    } else {
-      std::cerr << "buslint: no such path: " << p.string() << "\n";
-      return 2;
-    }
+  std::vector<ibus::lintcore::SourceFile> sources;
+  if (!ibus::lintcore::LoadSources("buslint", root, targets, &sources)) {
+    return 2;
   }
-  std::sort(files.begin(), files.end());
 
   size_t violations = 0;
-  for (const fs::path& f : files) {
-    std::ifstream in(f, std::ios::binary);
-    if (!in) {
-      std::cerr << "buslint: cannot read " << f.string() << "\n";
-      return 2;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    const std::string rel = fs::relative(f, root).generic_string();
-    for (const auto& v : ibus::buslint::LintSource(rel, buf.str())) {
+  for (const auto& f : sources) {
+    for (const auto& v : ibus::buslint::LintSource(f.path, f.content)) {
       std::cout << v.ToString() << "\n";
       ++violations;
     }
   }
   if (violations > 0) {
-    std::cout << "buslint: " << violations << " violation(s) in " << files.size()
+    std::cout << "buslint: " << violations << " violation(s) in " << sources.size()
               << " file(s)\n";
     return 1;
   }
-  std::cout << "buslint: clean (" << files.size() << " files)\n";
+  std::cout << "buslint: clean (" << sources.size() << " files)\n";
   return 0;
 }

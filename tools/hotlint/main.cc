@@ -9,26 +9,14 @@
 //   --explain   after each finding, dump the full root->site call chain
 //   --dot       print the Graphviz call graph (hot nodes filled) and exit
 //   --list-hot  print the annotated hot roots and exit
-#include <algorithm>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "src/hotlint/hotlint.h"
 
 namespace fs = std::filesystem;
-
-namespace {
-
-bool IsCppSource(const fs::path& p) {
-  const std::string ext = p.extension().string();
-  return ext == ".h" || ext == ".cc" || ext == ".cpp" || ext == ".hpp";
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   fs::path root = fs::current_path();
@@ -58,36 +46,9 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  std::vector<fs::path> files;
-  for (const std::string& t : targets) {
-    fs::path p = root / t;
-    std::error_code ec;
-    if (fs::is_directory(p, ec)) {
-      for (const auto& entry : fs::recursive_directory_iterator(p, ec)) {
-        if (entry.is_regular_file() && IsCppSource(entry.path())) {
-          files.push_back(entry.path());
-        }
-      }
-    } else if (fs::is_regular_file(p, ec)) {
-      files.push_back(p);
-    } else {
-      std::cerr << "hotlint: no such path: " << p.string() << "\n";
-      return 2;
-    }
-  }
-  std::sort(files.begin(), files.end());
-
-  std::vector<ibus::hotlint::SourceFile> sources;
-  sources.reserve(files.size());
-  for (const fs::path& f : files) {
-    std::ifstream in(f, std::ios::binary);
-    if (!in) {
-      std::cerr << "hotlint: cannot read " << f.string() << "\n";
-      return 2;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    sources.push_back({fs::relative(f, root).generic_string(), buf.str()});
+  std::vector<ibus::lintcore::SourceFile> sources;
+  if (!ibus::lintcore::LoadSources("hotlint", root, targets, &sources)) {
+    return 2;
   }
 
   ibus::hotlint::Program program = ibus::hotlint::BuildProgram(sources);
@@ -117,11 +78,11 @@ int main(int argc, char** argv) {
     }
   }
   if (!findings.empty()) {
-    std::cout << "hotlint: " << findings.size() << " finding(s) in " << files.size()
+    std::cout << "hotlint: " << findings.size() << " finding(s) in " << sources.size()
               << " file(s)\n";
     return 1;
   }
-  std::cout << "hotlint: clean (" << files.size() << " files, "
+  std::cout << "hotlint: clean (" << sources.size() << " files, "
             << program.functions.size() << " functions, "
             << ibus::hotlint::HotRoots(program).size() << " hot roots)\n";
   return 0;

@@ -12,38 +12,15 @@
 //   --update        rewrite the goldens instead of failing on drift (only
 //                   when the analysis itself is clean).
 //   --list-codecs   print the annotated codec names and exit.
-#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "src/wirecheck/wirecheck.h"
 
 namespace fs = std::filesystem;
-
-namespace {
-
-bool IsCppSource(const fs::path& p) {
-  const std::string ext = p.extension().string();
-  return ext == ".h" || ext == ".cc" || ext == ".cpp" || ext == ".hpp";
-}
-
-std::string ReadAll(const fs::path& p, bool* ok) {
-  std::ifstream in(p, std::ios::binary);
-  if (!in) {
-    *ok = false;
-    return "";
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  *ok = true;
-  return buf.str();
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   fs::path root = fs::current_path();
@@ -75,35 +52,9 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  std::vector<fs::path> files;
-  for (const std::string& t : targets) {
-    fs::path p = root / t;
-    std::error_code ec;
-    if (fs::is_directory(p, ec)) {
-      for (const auto& entry : fs::recursive_directory_iterator(p, ec)) {
-        if (entry.is_regular_file() && IsCppSource(entry.path())) {
-          files.push_back(entry.path());
-        }
-      }
-    } else if (fs::is_regular_file(p, ec)) {
-      files.push_back(p);
-    } else {
-      std::cerr << "wirecheck: no such path: " << p.string() << "\n";
-      return 2;
-    }
-  }
-  std::sort(files.begin(), files.end());
-
-  std::vector<ibus::wirecheck::SourceFile> sources;
-  sources.reserve(files.size());
-  for (const fs::path& f : files) {
-    bool ok = false;
-    std::string content = ReadAll(f, &ok);
-    if (!ok) {
-      std::cerr << "wirecheck: cannot read " << f.string() << "\n";
-      return 2;
-    }
-    sources.push_back({fs::relative(f, root).generic_string(), std::move(content)});
+  std::vector<ibus::lintcore::SourceFile> sources;
+  if (!ibus::lintcore::LoadSources("wirecheck", root, targets, &sources)) {
+    return 2;
   }
 
   ibus::wirecheck::Program program = ibus::wirecheck::BuildProgram(sources);
@@ -127,9 +78,8 @@ int main(int argc, char** argv) {
     for (const ibus::wirecheck::Codec& codec : program.codecs) {
       std::string current = ibus::wirecheck::RenderSchema(codec);
       fs::path golden_path = dir / (codec.name + ".wire");
-      bool ok = false;
-      std::string golden = ReadAll(golden_path, &ok);
-      if (!ok) {
+      std::string golden;
+      if (!ibus::lintcore::ReadFile(golden_path, &golden)) {
         if (update) {
           fs::create_directories(dir);
           std::ofstream out(golden_path, std::ios::binary);
@@ -185,7 +135,7 @@ int main(int argc, char** argv) {
               << program.codecs.size() << " codec(s)\n";
     return 1;
   }
-  std::cout << "wirecheck: clean (" << files.size() << " files, "
+  std::cout << "wirecheck: clean (" << sources.size() << " files, "
             << program.codecs.size() << " codecs";
   if (updated > 0) {
     std::cout << ", " << updated << " golden(s) written";
