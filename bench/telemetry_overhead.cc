@@ -1,5 +1,5 @@
 // Telemetry self-overhead accounting: runs the canonical busstat WAN scenario
-// (src/telemetry/busstat_demo.h) at three trace-sampling settings — trace
+// (src/scenario/busstat_demo.h) at three trace-sampling settings — trace
 // everything (period 1), the default 1/64 sample, and tracing off — and reports
 // the stats plane's self-measured overhead ratio at each: the fraction of all
 // daemon-published bytes injected by the observability plane itself (trace spans,
@@ -15,7 +15,7 @@
 #include <string>
 #include <vector>
 
-#include "src/telemetry/busstat_demo.h"
+#include "src/scenario/busstat_demo.h"
 
 namespace ibus {
 namespace bench {
@@ -26,7 +26,7 @@ constexpr double kOverheadBudget = 0.05;  // at the default 1/64 sampling
 struct OverheadRow {
   std::string name;
   uint32_t sample_period;
-  telemetry::BusStatScenario run;
+  scenario::BusStatScenario run;
 };
 
 int Run() {
@@ -38,9 +38,9 @@ int Run() {
   for (auto [label, period] : {std::pair<const char*, uint32_t>{"sample_1", 1},
                                {"sample_64", 64},
                                {"off", 0}}) {
-    telemetry::BusStatScenarioOptions options;
+    scenario::BusStatScenarioOptions options;
     options.sample_period = period;
-    telemetry::BusStatScenario run = telemetry::RunBusstatWanScenario(42, options);
+    scenario::BusStatScenario run = scenario::RunBusstatWanScenario(42, options);
     if (!run.trace.empty() && run.trace.front().rfind("error:", 0) == 0) {
       std::fprintf(stderr, "telemetry_overhead: scenario failed at %s: %s\n", label,
                    run.trace.front().c_str());

@@ -1,14 +1,9 @@
 #include "src/baseline/central_broker.h"
 
+#include "src/proto/packets.h"
 #include "src/wire/wire.h"
 
 namespace ibus {
-
-namespace {
-constexpr uint8_t kBrokerSubscribe = 60;
-constexpr uint8_t kBrokerPublish = 61;
-constexpr uint8_t kBrokerDeliver = 62;
-}  // namespace
 
 Result<std::unique_ptr<CentralBroker>> CentralBroker::Start(Network* net, HostId host,
                                                             Port port) {
@@ -28,7 +23,7 @@ void CentralBroker::HandleDatagram(const Datagram& d) {
     return;
   }
   WireReader r(frame->payload);
-  if (frame->frame_type == kBrokerSubscribe) {
+  if (frame->frame_type == kPktBrokerSubscribe) {
     auto pattern = r.ReadString();
     if (!pattern.ok()) {
       return;
@@ -38,7 +33,7 @@ void CentralBroker::HandleDatagram(const Datagram& d) {
     trie_.Insert(*pattern, id);
     return;
   }
-  if (frame->frame_type == kBrokerPublish) {
+  if (frame->frame_type == kPktBrokerPublish) {
     auto subject = r.ReadString();
     auto payload = r.ReadBytes();
     if (!subject.ok() || !payload.ok()) {
@@ -48,7 +43,7 @@ void CentralBroker::HandleDatagram(const Datagram& d) {
     WireWriter out;
     out.PutString(*subject);
     out.PutBytes(*payload);
-    Bytes deliver = FrameMessage(kBrokerDeliver, out.Take());
+    Bytes deliver = FrameMessage(kPktBrokerDeliver, out.Take());
     // One unicast per matching subscriber: the fan-out cost lives on the broker's
     // uplink (this is the whole point of the comparison).
     for (uint64_t id : trie_.Match(*subject)) {
@@ -78,19 +73,19 @@ Result<std::unique_ptr<BrokerClient>> BrokerClient::Connect(Network* net, HostId
 Status BrokerClient::Subscribe(const std::string& pattern) {
   WireWriter w;
   w.PutString(pattern);
-  return socket_->SendTo(broker_host_, broker_port_, FrameMessage(kBrokerSubscribe, w.Take()));
+  return socket_->SendTo(broker_host_, broker_port_, FrameMessage(kPktBrokerSubscribe, w.Take()));
 }
 
 Status BrokerClient::Publish(const std::string& subject, const Bytes& payload) {
   WireWriter w;
   w.PutString(subject);
   w.PutBytes(payload);
-  return socket_->SendTo(broker_host_, broker_port_, FrameMessage(kBrokerPublish, w.Take()));
+  return socket_->SendTo(broker_host_, broker_port_, FrameMessage(kPktBrokerPublish, w.Take()));
 }
 
 void BrokerClient::HandleDatagram(const Datagram& d) {
   auto frame = ParseFrame(d.payload);
-  if (!frame.ok() || frame->frame_type != kBrokerDeliver) {
+  if (!frame.ok() || frame->frame_type != kPktBrokerDeliver) {
     return;
   }
   WireReader r(frame->payload);

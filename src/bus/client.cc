@@ -58,8 +58,8 @@ Status BusClient::PublishScoped(Message m, SubjectScope scope) {
   }
 #if IBUS_TELEMETRY
   bool fresh_trace = false;
-  if (config_.trace_publishes && scope == SubjectScope::kApplication && m.trace_id == 0 &&
-      m.subject[0] != '_') {
+  if (config_.trace_sample_period != 0 && scope == SubjectScope::kApplication &&
+      m.trace_id == 0 && m.subject[0] != '_') {
     // Deterministic id: the stable client identity plus a per-client sequence. The
     // ordinal always advances — sampling must not shift later candidates — but only
     // publishes whose id hashes into the sample get a trace context; the rest stay

@@ -33,15 +33,13 @@ struct BusConfig {
   // When true the daemon broadcasts subscription add/remove events on
   // kSubEventSubject and answers kSubQuerySubject — consumed by information routers.
   bool announce_subscriptions = true;
-  // When true, clients built with this config assign a trace context to sampled
-  // application publishes and hop spans are emitted along the message path
-  // (see src/telemetry/trace.h). No effect when built with -DIB_TELEMETRY=OFF.
-  bool trace_publishes = false;
-  // Publisher-side sampling period: 1 traces every publish (the pre-busstat
-  // behavior; scenario code that asserts on complete timelines sets this), N
-  // traces ~1/N chosen by a deterministic hash of the trace id, 0 disables
-  // tracing even when trace_publishes is set. See docs/TELEMETRY.md.
-  uint32_t trace_sample_period = telemetry::kDefaultTraceSamplePeriod;
+  // Message-path tracing (src/telemetry/trace.h): clients built with this config
+  // give sampled application publishes a trace context, and hop spans are emitted
+  // along the message path. 0 = off, 1 = every publish (scenario code that asserts
+  // on complete timelines sets this), N = ~1/N chosen by a deterministic hash of
+  // the trace id. No effect when built with -DIB_TELEMETRY=OFF. See
+  // docs/TELEMETRY.md.
+  uint32_t trace_sample_period = 0;
   // Slot capacity of the daemon's per-subject and per-peer heavy-hitter sketches
   // (fixed memory regardless of distinct-subject count; see src/telemetry/sketch.h).
   size_t sketch_capacity = telemetry::TopKSketch::kDefaultCapacity;

@@ -3,6 +3,7 @@
 #include <fstream>
 
 #include "src/capture/dissect.h"
+#include "src/common/hash.h"
 #include "src/subject/subject.h"
 #include "src/wire/wire.h"
 
@@ -48,16 +49,9 @@ void CaptureBuffer::Clear() {
   seen_ = 0;
 }
 
-uint64_t Fnv1a(const uint8_t* data, size_t size, uint64_t h) {
-  for (size_t i = 0; i < size; ++i) {
-    h ^= data[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 std::string CanonicalRecord(const CapturedFrame& f) {
-  uint64_t payload_fnv = Fnv1a(f.payload.data(), f.payload.size());
+  uint64_t payload_fnv = Fnv1a(
+      std::string_view(reinterpret_cast<const char*>(f.payload.data()), f.payload.size()));
   std::string s = "idx=" + std::to_string(f.index) + " tx=" + std::to_string(f.tx_id) +
                   " seg=" + std::to_string(f.segment) + " src=" +
                   std::to_string(f.src_host) + ":" + std::to_string(f.src_port) +
@@ -85,12 +79,9 @@ std::string CanonicalRecord(const CapturedFrame& f) {
 }
 
 uint64_t CaptureBuffer::CaptureHash(const std::vector<CapturedFrame>& frames) {
-  uint64_t h = 1469598103934665603ull;
+  uint64_t h = kFnvOffset;
   for (const CapturedFrame& f : frames) {
-    std::string line = CanonicalRecord(f);
-    h = Fnv1a(reinterpret_cast<const uint8_t*>(line.data()), line.size(), h);
-    h ^= '\n';
-    h *= 1099511628211ull;
+    h = Fnv1a("\n", Fnv1a(CanonicalRecord(f), h));
   }
   return h;
 }

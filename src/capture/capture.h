@@ -57,9 +57,6 @@ class CaptureBuffer : public NetworkTap {
 // byte-stable spine of text reports.
 std::string CanonicalRecord(const CapturedFrame& f);
 
-// FNV-1a over a byte range (seeded with the standard offset basis).
-uint64_t Fnv1a(const uint8_t* data, size_t size, uint64_t h = 1469598103934665603ull);
-
 // Capture file IO. Write is atomic enough for tooling (truncate + write);
 // Read validates magic/version and every record bound.
 Status WriteCaptureFile(const std::string& path, const std::vector<CapturedFrame>& frames);

@@ -11,11 +11,6 @@ namespace ibus::capture {
 
 namespace {
 
-// Router link frame types; allocated in src/router/router.cc (file-local there, so
-// the values are mirrored here — they are wire format, not API).
-constexpr uint8_t kLinkAdvertFrame = 50;
-constexpr uint8_t kLinkMessageFrame = 51;
-
 std::string U(uint64_t v) { return std::to_string(v); }
 
 DissectNode Leaf(std::string label) { return DissectNode{std::move(label), {}}; }
@@ -158,9 +153,9 @@ std::string FrameKindName(uint8_t frame_type) {
       return "certified_ack";
     case kPktClientUnregister:
       return "client_unregister";
-    case kLinkAdvertFrame:
+    case kPktRouterAdvert:
       return "link_advert";
-    case kLinkMessageFrame:
+    case kPktRouterMessage:
       return "link_message";
     default:
       return "unknown_" + std::to_string(frame_type);
@@ -322,7 +317,7 @@ Dissection DissectFrame(const Bytes& frame_bytes) {
       d.control = true;
       d.root.children.push_back(Leaf("certified_ack: " + U(p.size()) + "B"));
       break;
-    case kLinkAdvertFrame: {
+    case kPktRouterAdvert: {
       d.control = true;
       WireReader r(p);
       auto count = r.ReadVarint();
@@ -341,7 +336,7 @@ Dissection DissectFrame(const Bytes& frame_bytes) {
       d.root.children.push_back(std::move(n));
       break;
     }
-    case kLinkMessageFrame:
+    case kPktRouterMessage:
       DissectMessage(p.data(), p.size(), &d, &d.root);
       break;
     default:
@@ -387,7 +382,7 @@ std::vector<std::string> PeekSubjects(const Bytes& frame_bytes) {
       break;
     }
     case kPktClientMessage:
-    case kLinkMessageFrame:
+    case kPktRouterMessage:
       PeekMessageSubject(p.data(), p.size(), &subjects);
       break;
     case kPktClientDeliver: {

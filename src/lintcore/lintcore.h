@@ -227,6 +227,8 @@ Nondet NondetPrimitive(std::string_view ident);
 // ---------------------------------------------------------------------------------
 
 bool ReadFile(const std::filesystem::path& p, std::string* out);
+// .h/.cc/.cpp/.hpp: what the analyzers scan when a PATH is a directory.
+bool IsCppSource(const std::filesystem::path& p);
 
 // Reads every C++ source under each PATH (relative to `root`; directories
 // recurse), sorted by path, with repo-relative names. On a missing path or an

@@ -136,6 +136,9 @@ Scrubbed Scrub(std::string_view src) {
       std::string content;
       while (i < src.size() && src[i] != quote) {
         if (src[i] == '\\' && i + 1 < src.size()) {
+          if (src[i + 1] == '\n') {
+            copy_nl(i + 1);  // a continued literal still starts a new line
+          }
           content.append(src.substr(i, 2));
           i += 2;
           continue;

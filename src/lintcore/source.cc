@@ -10,14 +10,10 @@ namespace ibus::lintcore {
 
 namespace fs = std::filesystem;
 
-namespace {
-
 bool IsCppSource(const fs::path& p) {
   const std::string ext = p.extension().string();
   return ext == ".h" || ext == ".cc" || ext == ".cpp" || ext == ".hpp";
 }
-
-}  // namespace
 
 bool ReadFile(const fs::path& p, std::string* out) {
   std::ifstream in(p, std::ios::binary);

@@ -4,6 +4,7 @@
 #include <cstdlib>
 
 #include "src/capture/capture.h"
+#include "src/common/hash.h"
 #include "src/proto/packets.h"
 #include "src/wire/wire.h"
 
@@ -267,10 +268,7 @@ std::string CriticalPathProfiler::RenderCollapsed() const {
 }
 
 uint64_t CriticalPathProfiler::Hash() const {
-  std::string json = RenderJson();
-  std::string collapsed = RenderCollapsed();
-  uint64_t h = capture::Fnv1a(reinterpret_cast<const uint8_t*>(json.data()), json.size());
-  return capture::Fnv1a(reinterpret_cast<const uint8_t*>(collapsed.data()), collapsed.size(), h);
+  return Fnv1a(RenderCollapsed(), Fnv1a(RenderJson()));
 }
 
 }  // namespace ibus::prof

@@ -12,7 +12,7 @@
 
 namespace ibus {
 
-// Frame types used on bus ports.
+// Frame types: every frame-type number on the wire is allocated here.
 enum PacketType : uint8_t {
   kPktData = 1,       // one (possibly fragmented) application message
   kPktBatch = 2,      // several small messages packed into one frame
@@ -27,6 +27,17 @@ enum PacketType : uint8_t {
   kPktClientDeliver = 20,
   kPktCertifiedAck = 21,
   kPktClientUnregister = 22,
+  // RMI request/reply over point-to-point connections (src/rmi).
+  kPktRmiRequest = 40,
+  kPktRmiReply = 41,
+  // Information-router link frames (src/router): subscription adverts and
+  // forwarded messages.
+  kPktRouterAdvert = 50,
+  kPktRouterMessage = 51,
+  // Centralized-broker baseline (src/baseline).
+  kPktBrokerSubscribe = 60,
+  kPktBrokerPublish = 61,
+  kPktBrokerDeliver = 62,
 };
 
 struct DataPacket {

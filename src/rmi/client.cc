@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/bus/discovery.h"
+#include "src/proto/packets.h"
 #include "src/wire/wire.h"
 
 namespace ibus {
@@ -63,7 +64,7 @@ void RemoteService::Call(const std::string& operation, std::vector<Value> args, 
       },
       "rmi.call_timeout");
   pending_.emplace(id, std::move(pending));
-  Status s = conn_->Send(FrameMessage(kRmiRequestFrame, req.Marshal()));
+  Status s = conn_->Send(FrameMessage(kPktRmiRequest, req.Marshal()));
   if (!s.ok()) {
     auto it = pending_.find(id);
     if (it != pending_.end()) {
@@ -113,12 +114,12 @@ void RemoteService::Describe(std::function<void(Result<TypeDescriptor>)> done) {
       },
       "rmi.call_timeout");
   pending_.emplace(id, std::move(pending));
-  conn_->Send(FrameMessage(kRmiRequestFrame, req.Marshal()));
+  conn_->Send(FrameMessage(kPktRmiRequest, req.Marshal()));
 }
 
 void RemoteService::HandleReply(const Bytes& bytes) {
   auto frame = ParseFrame(bytes);
-  if (!frame.ok() || frame->frame_type != kRmiReplyFrame) {
+  if (!frame.ok() || frame->frame_type != kPktRmiReply) {
     return;
   }
   auto reply = RmiReply::Unmarshal(frame->payload);

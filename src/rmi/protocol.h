@@ -14,10 +14,6 @@
 
 namespace ibus {
 
-// Frame types for RMI traffic over point-to-point connections.
-inline constexpr uint8_t kRmiRequestFrame = 40;
-inline constexpr uint8_t kRmiReplyFrame = 41;
-
 // Discovery response payload: where to connect and how loaded the server is.
 struct RmiAdvert {
   std::string server_name;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "src/proto/packets.h"
 #include "src/wire/wire.h"
 
 namespace ibus {
@@ -87,7 +88,7 @@ void RmiServer::Accept(ConnectionPtr conn) {
 
 void RmiServer::HandleRequest(const ConnectionPtr& conn, const Bytes& bytes) {
   auto frame = ParseFrame(bytes);
-  if (!frame.ok() || frame->frame_type != kRmiRequestFrame) {
+  if (!frame.ok() || frame->frame_type != kPktRmiRequest) {
     return;
   }
   auto request = RmiRequest::Unmarshal(frame->payload);
@@ -124,7 +125,7 @@ void RmiServer::HandleRequest(const ConnectionPtr& conn, const Bytes& bytes) {
         }
         in_flight_--;
         if (conn->open()) {
-          conn->Send(FrameMessage(kRmiReplyFrame, reply.Marshal()));
+          conn->Send(FrameMessage(kPktRmiReply, reply.Marshal()));
         }
       },
       "rmi.service_time");

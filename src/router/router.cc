@@ -3,14 +3,13 @@
 #include <optional>
 
 #include "src/common/logging.h"
+#include "src/proto/packets.h"
 #include "src/subject/subject.h"
 #include "src/wire/wire.h"
 
 namespace ibus {
 
 namespace {
-constexpr uint8_t kLinkAdvertFrame = 50;
-constexpr uint8_t kLinkMessageFrame = 51;
 
 bool IsRouterOwned(const std::string& owner) { return owner.rfind("_router", 0) == 0; }
 
@@ -247,7 +246,7 @@ void InfoRouter::SendAdvert() {
         if (link_ == nullptr || !link_->open()) {
           return;
         }
-        link_->Send(FrameMessage(kLinkAdvertFrame, MarshalAdvert(local_patterns_)));
+        link_->Send(FrameMessage(kPktRouterAdvert, MarshalAdvert(local_patterns_)));
         stats_.adverts_sent++;
       },
       "router.advert");
@@ -258,13 +257,13 @@ void InfoRouter::HandleLinkMessage(const Bytes& bytes) {
   if (!frame.ok()) {
     return;
   }
-  if (frame->frame_type == kLinkAdvertFrame) {
+  if (frame->frame_type == kPktRouterAdvert) {
     auto patterns = ParseAdvert(frame->payload);
     if (!patterns.has_value()) {
       return;
     }
     ApplyPeerAdvert(*patterns);
-  } else if (frame->frame_type == kLinkMessageFrame) {
+  } else if (frame->frame_type == kPktRouterMessage) {
     auto m = Message::Unmarshal(frame->payload);
     if (m.ok()) {
       RepublishFromPeer(m.take());
@@ -351,7 +350,7 @@ void InfoRouter::ForwardToPeer(const Message& m) {  // hotlint: hot
   if (config_.forward_log != nullptr) {
     config_.forward_log->Append(marshalled);
   }
-  link_->Send(FrameMessage(kLinkMessageFrame, marshalled));
+  link_->Send(FrameMessage(kPktRouterMessage, marshalled));
   stats_.forwarded++;
   subject_sketch_.Offer(out.subject);
   if (!out.sender.empty()) {

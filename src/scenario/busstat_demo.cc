@@ -1,19 +1,20 @@
-#include "src/telemetry/busstat_demo.h"
+#include "src/scenario/busstat_demo.h"
 
 #include <cstdio>
-#include <memory>
-#include <utility>
 
-#include "src/bus/client.h"
-#include "src/bus/daemon.h"
-#include "src/router/router.h"
-#include "src/sim/simulator.h"
+#include "src/scenario/testbed.h"
 #include "src/telemetry/busstat.h"
 #include "src/telemetry/collector.h"
 
-namespace ibus::telemetry {
+namespace ibus::scenario {
 
 namespace {
+
+using telemetry::BusStatReporter;
+using telemetry::BusStatReporterOptions;
+using telemetry::DecodedSample;
+using telemetry::StatsAggregator;
+using telemetry::TraceCollector;
 
 std::string Record(SimTime t, const std::string& who, const Message& m) {
   return "t=" + std::to_string(t) + " " + who + " subj=" + m.subject +
@@ -31,49 +32,24 @@ BusStatScenario RunBusstatWanScenario(uint64_t seed,
     return result;
   };
 
-  Simulator sim;
-  Network net(&sim, seed);
-  SegmentId lan_a = net.AddSegment();
-  SegmentId lan_b = net.AddSegment();
-  std::vector<HostId> a_hosts, b_hosts;
   BusConfig config;
-  config.trace_publishes = true;
   config.trace_sample_period = options.sample_period;
-  for (int i = 0; i < 2; ++i) {
-    a_hosts.push_back(net.AddHost("a" + std::to_string(i), lan_a));
-    b_hosts.push_back(net.AddHost("b" + std::to_string(i), lan_b));
+  auto started = WanTestbed::Start(seed, config);
+  if (!started.ok()) {
+    return fail("testbed", started.status());
   }
-  std::vector<std::unique_ptr<BusDaemon>> daemons;
-  std::vector<HostId> daemon_hosts;
-  for (HostId h : {a_hosts[0], a_hosts[1], b_hosts[0], b_hosts[1]}) {
-    auto d = BusDaemon::Start(&net, h, config);
-    if (!d.ok()) {
-      return fail("daemon", d.status());
-    }
-    daemons.push_back(d.take());
-    daemon_hosts.push_back(h);
-  }
-
-  auto router_bus_a = BusClient::Connect(&net, a_hosts[0], "_router:A");
-  auto router_bus_b = BusClient::Connect(&net, b_hosts[0], "_router:B");
-  if (!router_bus_a.ok() || !router_bus_b.ok()) {
-    return fail("router bus",
-                router_bus_a.ok() ? router_bus_b.status() : router_bus_a.status());
-  }
-  auto ra = InfoRouter::Listen(router_bus_a->get(), "_router:A", 8700);
-  if (!ra.ok()) {
-    return fail("router listen", ra.status());
-  }
-  sim.RunFor(50 * kMillisecond);
-  auto rb = InfoRouter::Connect(router_bus_b->get(), "_router:B", a_hosts[0], 8700);
-  if (!rb.ok()) {
-    return fail("router connect", rb.status());
+  WanTestbed& bed = **started;
+  Simulator& sim = bed.sim();
+  Network& net = bed.net();
+  Status routers = bed.ConnectRouters();
+  if (!routers.ok()) {
+    return fail("routers", routers);
   }
   sim.RunFor(200 * kMillisecond);
 
   // Fleet view + trace collector on the far LAN: busstat time-series records and
   // sampled spans cross the WAN via the routers' reserved-prefix forwarding.
-  auto monitor_bus = BusClient::Connect(&net, b_hosts[0], "monitor");
+  auto monitor_bus = BusClient::Connect(&net, bed.b0(), "monitor");
   if (!monitor_bus.ok()) {
     return fail("monitor bus", monitor_bus.status());
   }
@@ -84,7 +60,7 @@ BusStatScenario RunBusstatWanScenario(uint64_t seed,
   auto collector = TraceCollector::Create(monitor_bus->get());
   const bool telemetry_on = collector.ok();  // false under IB_TELEMETRY=OFF
 
-  auto sub_bus = BusClient::Connect(&net, b_hosts[1], "consumer", config);
+  auto sub_bus = BusClient::Connect(&net, bed.b1(), "consumer", config);
   if (!sub_bus.ok()) {
     return fail("consumer bus", sub_bus.status());
   }
@@ -113,15 +89,15 @@ BusStatScenario RunBusstatWanScenario(uint64_t seed,
   ropts.sample_period = options.sample_period;
   std::vector<std::unique_ptr<BusClient>> reporter_buses;
   std::vector<std::unique_ptr<BusStatReporter>> reporters;
-  for (size_t i = 0; i < daemons.size(); ++i) {
-    auto bus = BusClient::Connect(&net, daemon_hosts[i], "_busstat");
+  for (const auto& daemon : bed.daemons()) {
+    auto bus = BusClient::Connect(&net, daemon->host(), "_busstat");
     if (!bus.ok()) {
       return fail("reporter bus", bus.status());
     }
-    std::string node = net.HostName(daemon_hosts[i]);
-    auto rep = BusStatReporter::Create(bus->get(), node, daemons[i]->metrics(),
-                                       &daemons[i]->subject_sketch(),
-                                       &daemons[i]->peer_sketch(), ropts);
+    std::string node = net.HostName(daemon->host());
+    auto rep = BusStatReporter::Create(bus->get(), node, daemon->metrics(),
+                                       &daemon->subject_sketch(), &daemon->peer_sketch(),
+                                       ropts);
     if (!rep.ok()) {
       return fail("reporter", rep.status());
     }
@@ -133,8 +109,8 @@ BusStatScenario RunBusstatWanScenario(uint64_t seed,
     BusClient* bus;
     const char* node;
   };
-  for (const RouterRep& rr : {RouterRep{ra->get(), router_bus_a->get(), "routerA"},
-                              RouterRep{rb->get(), router_bus_b->get(), "routerB"}}) {
+  for (const RouterRep& rr : {RouterRep{bed.router_a(), bed.router_bus_a(), "routerA"},
+                              RouterRep{bed.router_b(), bed.router_bus_b(), "routerB"}}) {
     auto rep = BusStatReporter::Create(rr.bus, rr.node, rr.router->metrics(),
                                        &rr.router->subject_sketch(),
                                        &rr.router->peer_sketch(), ropts);
@@ -148,10 +124,9 @@ BusStatScenario RunBusstatWanScenario(uint64_t seed,
   FaultPlan faults;
   faults.drop_prob = 0.10;
   faults.jitter_us = 300;
-  net.SetFaultPlan(lan_a, faults);
-  net.SetFaultPlan(lan_b, faults);
+  bed.SetFaults(faults);
 
-  auto pub_bus = BusClient::Connect(&net, a_hosts[1], "producer", config);
+  auto pub_bus = BusClient::Connect(&net, bed.a1(), "producer", config);
   if (!pub_bus.ok()) {
     return fail("producer bus", pub_bus.status());
   }
@@ -206,4 +181,4 @@ BusStatScenario RunBusstatWanScenario(uint64_t seed,
   return result;
 }
 
-}  // namespace ibus::telemetry
+}  // namespace ibus::scenario

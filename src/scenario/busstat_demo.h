@@ -1,18 +1,18 @@
-// The canonical busstat scenario: the certified-WAN topology (two LANs joined by
-// an information-router pair, 10% loss + 300µs jitter) carrying a plain pub/sub
-// workload with publisher-side trace sampling on, a BusStatReporter beside every
-// daemon and router, and a StatsAggregator + TraceCollector on the far LAN merging
-// the fleet. Shared by tools/busstat, the stats tests, sim_replay_check's busstat
-// scenario, and bench/telemetry_overhead, so the CLI output, the unit assertions,
-// the replay hashes, and the overhead series all describe the same bytes.
-#ifndef SRC_TELEMETRY_BUSSTAT_DEMO_H_
-#define SRC_TELEMETRY_BUSSTAT_DEMO_H_
+// The canonical busstat scenario: the WAN testbed (src/scenario/testbed.h) under
+// 10% loss + 300µs jitter, carrying a plain pub/sub workload with publisher-side
+// trace sampling on, a BusStatReporter beside every daemon and router, and a
+// StatsAggregator + TraceCollector on the far LAN merging the fleet. Shared by
+// tools/busstat, the stats tests, sim_replay_check's busstat scenario, and
+// bench/telemetry_overhead, so the CLI output, the unit assertions, the replay
+// hashes, and the overhead series all describe the same bytes.
+#ifndef SRC_SCENARIO_BUSSTAT_DEMO_H_
+#define SRC_SCENARIO_BUSSTAT_DEMO_H_
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-namespace ibus::telemetry {
+namespace ibus::scenario {
 
 struct BusStatScenarioOptions {
   // Publisher-side trace sampling period (BusConfig::trace_sample_period):
@@ -53,6 +53,6 @@ struct BusStatScenario {
 BusStatScenario RunBusstatWanScenario(uint64_t seed,
                                       const BusStatScenarioOptions& options = {});
 
-}  // namespace ibus::telemetry
+}  // namespace ibus::scenario
 
-#endif  // SRC_TELEMETRY_BUSSTAT_DEMO_H_
+#endif  // SRC_SCENARIO_BUSSTAT_DEMO_H_

@@ -1,25 +1,16 @@
-#include "src/journal/demo.h"
+#include "src/scenario/journal_demo.h"
 
-#include <memory>
-
-#include "src/bus/certified.h"
-#include "src/bus/client.h"
-#include "src/bus/daemon.h"
 #include "src/common/rng.h"
-#include "src/journal/journal.h"
-#include "src/router/router.h"
-#include "src/sim/network.h"
-#include "src/sim/simulator.h"
+#include "src/scenario/testbed.h"
 #include "src/telemetry/health.h"
 
-namespace ibus::journal {
+namespace ibus::scenario {
+
+using journal::Journal;
+using journal::JournalConfig;
+using journal::VerifyDevice;
 
 namespace {
-
-std::string TraceLine(SimTime t, const std::string& who, const Message& m) {
-  return "t=" + std::to_string(t) + " " + who + " subj=" + m.subject +
-         " payload=" + ToString(m.payload);
-}
 
 // Group-commit config shared by the scenarios: small blocks and segments so a short
 // run still exercises batching, rotation, and compaction.
@@ -91,7 +82,7 @@ std::vector<std::string> RunDaemonCrashScenario(uint64_t seed, StableStore* devi
   }
   auto sub = CertifiedSubscriber::Create(
       con_bus->get(), "orders.>", "consumer",
-      [&](const Message& m) { trace.push_back(TraceLine(sim.Now(), "consumer", m)); });
+      [&](const Message& m) { trace.push_back(DeliveryLine(sim.Now(), "consumer", m)); });
   if (!sub.ok()) {
     return fail("certified subscriber", sub.status());
   }
@@ -197,61 +188,32 @@ std::vector<std::string> RunRouterCrashScenario(uint64_t seed, StableStore* devi
     return trace;
   };
 
-  Simulator sim;
-  Network net(&sim, seed);
-  SegmentId lan_a = net.AddSegment();
-  SegmentId lan_b = net.AddSegment();
-  std::vector<HostId> a_hosts, b_hosts;
-  std::vector<std::unique_ptr<BusDaemon>> daemons;
-  for (int i = 0; i < 2; ++i) {
-    a_hosts.push_back(net.AddHost("a" + std::to_string(i), lan_a));
-    b_hosts.push_back(net.AddHost("b" + std::to_string(i), lan_b));
+  auto started = WanTestbed::Start(seed, BusConfig());
+  if (!started.ok()) {
+    return fail("testbed", started.status());
   }
-  for (HostId h : a_hosts) {
-    auto d = BusDaemon::Start(&net, h, BusConfig());
-    if (!d.ok()) {
-      return fail("daemon a", d.status());
-    }
-    daemons.push_back(d.take());
-  }
-  for (HostId h : b_hosts) {
-    auto d = BusDaemon::Start(&net, h, BusConfig());
-    if (!d.ok()) {
-      return fail("daemon b", d.status());
-    }
-    daemons.push_back(d.take());
-  }
-
-  auto router_bus_a = BusClient::Connect(&net, a_hosts[0], "_router:A");
-  auto router_bus_b = BusClient::Connect(&net, b_hosts[0], "_router:B");
-  if (!router_bus_a.ok() || !router_bus_b.ok()) {
-    return fail("router bus",
-                router_bus_a.ok() ? router_bus_b.status() : router_bus_a.status());
-  }
-  auto ra = InfoRouter::Listen(router_bus_a->get(), "_router:A", 8700);
-  if (!ra.ok()) {
-    return fail("router listen", ra.status());
-  }
-  sim.RunFor(50 * kMillisecond);
-  auto rb = InfoRouter::Connect(router_bus_b->get(), "_router:B", a_hosts[0], 8700);
-  if (!rb.ok()) {
-    return fail("router connect", rb.status());
+  WanTestbed& bed = **started;
+  Simulator& sim = bed.sim();
+  Network& net = bed.net();
+  Status routers = bed.ConnectRouters();
+  if (!routers.ok()) {
+    return fail("routers", routers);
   }
   sim.RunFor(200 * kMillisecond);
 
-  auto con_bus = BusClient::Connect(&net, b_hosts[1], "consumer");
+  auto con_bus = BusClient::Connect(&net, bed.b1(), "consumer");
   if (!con_bus.ok()) {
     return fail("consumer bus", con_bus.status());
   }
   auto sub = CertifiedSubscriber::Create(
       con_bus->get(), "orders.>", "consumer",
-      [&](const Message& m) { trace.push_back(TraceLine(sim.Now(), "consumer", m)); });
+      [&](const Message& m) { trace.push_back(DeliveryLine(sim.Now(), "consumer", m)); });
   if (!sub.ok()) {
     return fail("certified subscriber", sub.status());
   }
   // The recovery announcement happens while the WAN is down, so watch it on the
   // publisher's own LAN.
-  auto monitor_bus = BusClient::Connect(&net, a_hosts[0], "monitor");
+  auto monitor_bus = BusClient::Connect(&net, bed.a0(), "monitor");
   if (!monitor_bus.ok()) {
     return fail("monitor bus", monitor_bus.status());
   }
@@ -264,10 +226,9 @@ std::vector<std::string> RunRouterCrashScenario(uint64_t seed, StableStore* devi
   FaultPlan faults;
   faults.drop_prob = 0.05;
   faults.jitter_us = 300;
-  net.SetFaultPlan(lan_a, faults);
-  net.SetFaultPlan(lan_b, faults);
+  bed.SetFaults(faults);
 
-  auto pub_bus = BusClient::Connect(&net, a_hosts[1], "producer");
+  auto pub_bus = BusClient::Connect(&net, bed.a1(), "producer");
   if (!pub_bus.ok()) {
     return fail("producer bus", pub_bus.status());
   }
@@ -288,10 +249,7 @@ std::vector<std::string> RunRouterCrashScenario(uint64_t seed, StableStore* devi
   }
 
   // Both routers die with certified traffic and acks queued across the WAN.
-  rb->reset();
-  ra->reset();
-  router_bus_b->reset();
-  router_bus_a->reset();
+  bed.StopRouters();
   trace.push_back("routers crashed at t=" + std::to_string(sim.Now()));
   for (int i = 4; i < 8; ++i) {
     Status s = (*pub)->Publish("orders.new", ToBytes("order" + std::to_string(i)));
@@ -309,7 +267,7 @@ std::vector<std::string> RunRouterCrashScenario(uint64_t seed, StableStore* devi
   trace.push_back("publisher crashed blocks=" + std::to_string(device->NextSeq()) +
                   " syncs=" + std::to_string(device->syncs()));
   sim.RunFor(400 * kMillisecond);
-  auto pub_bus2 = BusClient::Connect(&net, a_hosts[1], "producer");
+  auto pub_bus2 = BusClient::Connect(&net, bed.a1(), "producer");
   if (!pub_bus2.ok()) {
     return fail("producer bus restart", pub_bus2.status());
   }
@@ -332,20 +290,9 @@ std::vector<std::string> RunRouterCrashScenario(uint64_t seed, StableStore* devi
   sim.RunFor(200 * kMillisecond);
 
   // Routers come back on the same port; retries finally drain across the WAN.
-  auto router_bus_a2 = BusClient::Connect(&net, a_hosts[0], "_router:A");
-  auto router_bus_b2 = BusClient::Connect(&net, b_hosts[0], "_router:B");
-  if (!router_bus_a2.ok() || !router_bus_b2.ok()) {
-    return fail("router bus restart",
-                router_bus_a2.ok() ? router_bus_b2.status() : router_bus_a2.status());
-  }
-  auto ra2 = InfoRouter::Listen(router_bus_a2->get(), "_router:A", 8700);
-  if (!ra2.ok()) {
-    return fail("router relisten", ra2.status());
-  }
-  sim.RunFor(50 * kMillisecond);
-  auto rb2 = InfoRouter::Connect(router_bus_b2->get(), "_router:B", a_hosts[0], 8700);
-  if (!rb2.ok()) {
-    return fail("router reconnect", rb2.status());
+  Status restarted = bed.ConnectRouters();
+  if (!restarted.ok()) {
+    return fail("router restart", restarted);
   }
   trace.push_back("routers restarted at t=" + std::to_string(sim.Now()));
   sim.RunFor(8 * kSecond);
@@ -386,7 +333,7 @@ std::vector<std::string> RunTailTruncationScenario(uint64_t seed) {
   }
   auto sub = CertifiedSubscriber::Create(
       con_bus->get(), "orders.>", "consumer",
-      [&](const Message& m) { trace.push_back(TraceLine(sim.Now(), "consumer", m)); });
+      [&](const Message& m) { trace.push_back(DeliveryLine(sim.Now(), "consumer", m)); });
   if (!sub.ok()) {
     return fail("certified subscriber", sub.status());
   }
@@ -460,7 +407,7 @@ std::vector<std::string> RunTailTruncationScenario(uint64_t seed) {
   }
   auto sub2 = CertifiedSubscriber::Create(
       con_bus2->get(), "orders.>", "consumer",
-      [&](const Message& m) { trace.push_back(TraceLine(sim.Now(), "consumer2", m)); });
+      [&](const Message& m) { trace.push_back(DeliveryLine(sim.Now(), "consumer2", m)); });
   if (!sub2.ok()) {
     return fail("certified subscriber restart", sub2.status());
   }
@@ -491,4 +438,4 @@ std::vector<std::string> RunTailTruncationScenario(uint64_t seed) {
   return trace;
 }
 
-}  // namespace ibus::journal
+}  // namespace ibus::scenario

@@ -4,8 +4,8 @@
 // and returns a deterministic text trace (deliveries, recovery health events,
 // component stats, and the journal verify report) whose hash must be bit-identical
 // across replays of the same seed.
-#ifndef SRC_JOURNAL_DEMO_H_
-#define SRC_JOURNAL_DEMO_H_
+#ifndef SRC_SCENARIO_JOURNAL_DEMO_H_
+#define SRC_SCENARIO_JOURNAL_DEMO_H_
 
 #include <cstdint>
 #include <string>
@@ -13,7 +13,7 @@
 
 #include "src/sim/stable_store.h"
 
-namespace ibus::journal {
+namespace ibus::scenario {
 
 // Daemon crash mid-retire: a certified publisher (group-commit journal on `device`)
 // loses its daemon, client, and journal handle while retires are in flight; the
@@ -34,6 +34,6 @@ std::vector<std::string> RunRouterCrashScenario(uint64_t seed, StableStore* devi
 // and the final cut is recovered on the bus end-to-end.
 std::vector<std::string> RunTailTruncationScenario(uint64_t seed);
 
-}  // namespace ibus::journal
+}  // namespace ibus::scenario
 
-#endif  // SRC_JOURNAL_DEMO_H_
+#endif  // SRC_SCENARIO_JOURNAL_DEMO_H_

@@ -1,12 +1,11 @@
-// The canonical profiling scenario: the certified-WAN topology of src/capture's
-// demo (two LANs joined by an information-router pair, 10% loss + 300µs jitter)
-// run with publish tracing on, a wire tap attached, and the simulator event core
-// observed — everything busprof profiles, in one deterministic run. Shared by
-// tools/busprof, the prof tests, and sim_replay_check's busprof scenario so the
-// CLI output, the unit assertions, and the replay hashes all describe the same
-// bytes.
-#ifndef SRC_PROF_DEMO_H_
-#define SRC_PROF_DEMO_H_
+// The canonical profiling scenario: the capture demo's certified-orders workload on
+// the WAN testbed (src/scenario/testbed.h) run with publish tracing on, a wire tap
+// attached, and the simulator event core observed — everything busprof profiles,
+// in one deterministic run. Shared by tools/busprof, the prof tests, and
+// sim_replay_check's busprof scenario so the CLI output, the unit assertions, and
+// the replay hashes all describe the same bytes.
+#ifndef SRC_SCENARIO_PROF_DEMO_H_
+#define SRC_SCENARIO_PROF_DEMO_H_
 
 #include <cstdint>
 #include <string>
@@ -14,7 +13,7 @@
 
 #include "src/prof/stages.h"
 
-namespace ibus::prof {
+namespace ibus::scenario {
 
 struct ProfiledScenario {
   // Delivery records, hop timelines, and summary stat lines — the replay spine.
@@ -27,7 +26,7 @@ struct ProfiledScenario {
   uint64_t hash = 0;
   // Per-delivery stage decompositions (empty when built with IB_TELEMETRY=OFF —
   // no spans are emitted then and the report says "telemetry":false).
-  std::vector<PathProfile> paths;
+  std::vector<prof::PathProfile> paths;
   bool reconciled = false;
   double unattributed_share = 0.0;
   uint64_t frames_captured = 0;
@@ -35,6 +34,6 @@ struct ProfiledScenario {
 
 ProfiledScenario RunProfiledWanScenario(uint64_t seed);
 
-}  // namespace ibus::prof
+}  // namespace ibus::scenario
 
-#endif  // SRC_PROF_DEMO_H_
+#endif  // SRC_SCENARIO_PROF_DEMO_H_

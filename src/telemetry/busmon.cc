@@ -6,6 +6,7 @@
 #include <tuple>
 
 #include "src/bus/daemon.h"
+#include "src/common/hash.h"
 #include "src/prof/stages.h"
 #include "src/proto/reliable.h"
 #include "src/telemetry/trace.h"
@@ -13,9 +14,6 @@
 namespace ibus::telemetry {
 
 namespace {
-
-constexpr uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr uint64_t kFnvPrime = 1099511628211ULL;
 
 // A registry value from a node's latest sample; a metric the node never set reads 0.
 long long ValueOf(const DecodedSample& s, const std::string& name) {
@@ -229,12 +227,7 @@ std::string BusMon::RenderSnapshot() const {
 }
 
 uint64_t BusMon::SnapshotHash() const {
-  uint64_t h = kFnvOffset;
-  for (char c : RenderSnapshot()) {
-    h ^= static_cast<uint8_t>(c);
-    h *= kFnvPrime;
-  }
-  return h;
+  return Fnv1a(RenderSnapshot());
 }
 
 }  // namespace ibus::telemetry

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <sstream>
 
+#include "src/common/hash.h"
 #include "src/subject/subject.h"
 #include "src/wire/wire.h"
 
@@ -14,9 +15,6 @@ namespace {
 
 constexpr uint8_t kTagCounter = 0;
 constexpr uint8_t kTagGauge = 1;
-
-constexpr uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr uint64_t kFnvPrime = 1099511628211ULL;
 
 // Zigzag so small negative gauge deltas stay one varint byte.
 uint64_t ZigZag(int64_t v) {
@@ -66,15 +64,6 @@ void EncodeHistogramAbsolute(WireWriter* w, const std::string& name,
       w->PutVarint(h.bucket_count(b));
     }
   }
-}
-
-uint64_t FnvOf(const std::string& s) {
-  uint64_t h = kFnvOffset;
-  for (char c : s) {
-    h ^= static_cast<uint8_t>(c);
-    h *= kFnvPrime;
-  }
-  return h;
 }
 
 // Deterministic JSON escaping for metric/subject names (conservative: names are
@@ -815,6 +804,6 @@ std::string StatsAggregator::RenderTable() const {
   return out.str();
 }
 
-uint64_t StatsAggregator::Hash() const { return FnvOf(RenderJson()); }
+uint64_t StatsAggregator::Hash() const { return Fnv1a(RenderJson()); }
 
 }  // namespace ibus::telemetry

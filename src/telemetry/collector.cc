@@ -4,22 +4,9 @@
 #include <sstream>
 #include <tuple>
 
+#include "src/common/hash.h"
+
 namespace ibus::telemetry {
-
-namespace {
-
-constexpr uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr uint64_t kFnvPrime = 1099511628211ULL;
-
-uint64_t FnvMix(uint64_t h, const std::string& s) {
-  for (char c : s) {
-    h ^= static_cast<uint8_t>(c);
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
-}  // namespace
 
 Result<std::unique_ptr<TraceCollector>> TraceCollector::Create(
     BusClient* bus, const TraceCollectorOptions& options) {
@@ -122,8 +109,7 @@ std::string TraceCollector::RenderTimeline(uint64_t trace_id) const {
 uint64_t TraceCollector::TimelineHash(uint64_t trace_id) const {
   uint64_t h = kFnvOffset;
   for (const HopRecord& rec : Timeline(trace_id)) {
-    h = FnvMix(h, rec.ToString());
-    h = FnvMix(h, "\n");
+    h = Fnv1a("\n", Fnv1a(rec.ToString(), h));
   }
   return h;
 }
@@ -131,7 +117,7 @@ uint64_t TraceCollector::TimelineHash(uint64_t trace_id) const {
 uint64_t TraceCollector::AllTracesHash() const {
   uint64_t h = kFnvOffset;
   for (const auto& [id, hops] : traces_) {
-    h = FnvMix(h, std::to_string(id));
+    h = Fnv1a(std::to_string(id), h);
     h ^= TimelineHash(id);
     h *= kFnvPrime;
   }

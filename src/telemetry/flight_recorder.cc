@@ -3,11 +3,10 @@
 #include <cstdio>
 #include <sstream>
 
+#include "src/common/hash.h"
+
 namespace ibus::telemetry {
 namespace {
-
-constexpr uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr uint64_t kFnvPrime = 1099511628211ULL;
 
 void AppendJsonEscaped(std::string* out, std::string_view s) {
   for (char c : s) {
@@ -108,12 +107,7 @@ std::string FlightRecorder::DumpJsonl() const {
 }
 
 uint64_t FlightRecorder::DumpHash() const {
-  uint64_t h = kFnvOffset;
-  for (char c : DumpJsonl()) {
-    h ^= static_cast<uint8_t>(c);
-    h *= kFnvPrime;
-  }
-  return h;
+  return Fnv1a(DumpJsonl());
 }
 
 std::string FlightRecorder::RenderTail(size_t n) const {

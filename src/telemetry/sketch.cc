@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "src/common/hash.h"
 #include "src/wire/wire.h"
 
 namespace ibus::telemetry {
@@ -16,9 +17,6 @@ bool RankBefore(const TopKSketch::Entry& a, const TopKSketch::Entry& b) {
   }
   return a.key < b.key;
 }
-
-constexpr uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr uint64_t kFnvPrime = 1099511628211ULL;
 
 }  // namespace
 
@@ -106,12 +104,7 @@ std::string TopKSketch::RenderTable() const {
 }
 
 uint64_t TopKSketch::Hash() const {
-  uint64_t h = kFnvOffset;
-  for (char c : RenderTable()) {
-    h ^= static_cast<uint8_t>(c);
-    h *= kFnvPrime;
-  }
-  return h;
+  return Fnv1a(RenderTable());
 }
 
 // wirecheck: codec(topk_sketch, version=0)

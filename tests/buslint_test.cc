@@ -68,6 +68,13 @@ TEST(BuslintNondeterminism, FiresInProfiler) {
   EXPECT_EQ(CountRule(vs, kRuleNondeterminism), 3u) << Render(vs);
 }
 
+TEST(BuslintNondeterminism, FiresInScenarios) {
+  // src/scenario's testbed and demo runs produce the traces the replay gate hashes,
+  // so they are deterministic core too.
+  auto vs = LintFixture("src/scenario/nondet_prof.cc", "nondet_prof.cc");
+  EXPECT_EQ(CountRule(vs, kRuleNondeterminism), 3u) << Render(vs);
+}
+
 TEST(BuslintNondeterminism, ProfilerTwinIsSilentOutsideCore) {
   // The same source under the CLI tool's path must not fire.
   auto vs = LintFixture("tools/busprof/nondet_prof.cc", "nondet_prof.cc");

@@ -196,7 +196,6 @@ TEST_F(BusMonTest, RendersQueueOccupancyFromSnapshots) {
 #if IBUS_TELEMETRY
 TEST_F(BusMonTest, DerivesStageLatencyFromBufferedTraceSpans) {
   BusConfig config;
-  config.trace_publishes = true;
   config.trace_sample_period = 1;
   SetUpBus(2, config);
   auto pub = MakeClient(0, "pub");

@@ -1,7 +1,10 @@
 # Replay-determinism smoke for busprof (see tools/busprof/CMakeLists.txt): two runs
 # of the same seed must produce byte-identical JSON and collapsed-stack reports, a
 # different seed must produce a different hash (the profile actually depends on the
-# replay), and the hash line must carry reconciled=1.
+# replay), and the hash line must carry reconciled=1. With -DGOLDEN=FILE (passed
+# only in IB_TELEMETRY=ON builds) the seed-42 hash line must also match the golden.
+# Regenerate it with:
+#   build/tools/busprof/busprof --seed 42 --hash > tests/goldens/busprof_hash.txt
 foreach(var BUSPROF WORKDIR)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "busprof_replay.cmake: missing -D${var}=")
@@ -50,4 +53,11 @@ endif()
 if(hash_42 STREQUAL hash_43)
   message(FATAL_ERROR "seeds 42 and 43 produced the same profile hash — "
                       "the profile is not sensitive to the replay: ${hash_42}")
+endif()
+if(DEFINED GOLDEN)
+  file(READ ${GOLDEN} golden)
+  if(NOT hash_42 STREQUAL golden)
+    message(FATAL_ERROR "busprof --seed 42 --hash diverged from ${GOLDEN}: ${hash_42}"
+                        "if the change is intentional, regenerate the golden (command above)")
+  endif()
 endif()

@@ -2,7 +2,10 @@
 # of the same seed must produce byte-identical JSON (the merged sketches, deltas,
 # and quantiles all ride the deterministic simulator), the JSON must carry the
 # BUSSTAT_1 schema tag, and a different seed must produce a different hash (the
-# stats plane actually depends on the replay, not on wall-clock state).
+# stats plane actually depends on the replay, not on wall-clock state). With
+# -DGOLDEN=FILE (passed only in IB_TELEMETRY=ON builds) the seed-42 hash line must
+# also match the golden. Regenerate it with:
+#   build/tools/busstat/busstat --seed 42 --hash > tests/goldens/busstat_hash.txt
 foreach(var BUSSTAT WORKDIR)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "busstat_replay.cmake: missing -D${var}=")
@@ -48,4 +51,11 @@ endif()
 if(hash_42 STREQUAL hash_43)
   message(FATAL_ERROR "seeds 42 and 43 produced the same stats hash — "
                       "the stats plane is not sensitive to the replay: ${hash_42}")
+endif()
+if(DEFINED GOLDEN)
+  file(READ ${GOLDEN} golden)
+  if(NOT hash_42 STREQUAL golden)
+    message(FATAL_ERROR "busstat --seed 42 --hash diverged from ${GOLDEN}: ${hash_42}"
+                        "if the change is intentional, regenerate the golden (command above)")
+  endif()
 endif()

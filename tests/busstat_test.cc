@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "src/telemetry/busstat.h"
-#include "src/telemetry/busstat_demo.h"
+#include "src/scenario/busstat_demo.h"
 #include "src/telemetry/metrics.h"
 #include "src/telemetry/sketch.h"
 #include "src/telemetry/trace.h"
@@ -434,13 +434,13 @@ TEST(StatsAggregator, RingKeepsBoundedHistory) {
 // --- End to end: the canonical WAN scenario ----------------------------------------
 
 TEST(BusstatScenario, SamplingThinsTraceTrafficButNotGoodput) {
-  BusStatScenarioOptions all, sampled;
+  scenario::BusStatScenarioOptions all, sampled;
   all.sample_period = 1;
   all.messages = 120;
   sampled.sample_period = 64;
   sampled.messages = 120;
-  BusStatScenario run_all = RunBusstatWanScenario(42, all);
-  BusStatScenario run_sampled = RunBusstatWanScenario(42, sampled);
+  scenario::BusStatScenario run_all = scenario::RunBusstatWanScenario(42, all);
+  scenario::BusStatScenario run_sampled = scenario::RunBusstatWanScenario(42, sampled);
   ASSERT_NE(run_all.trace.front().rfind("error:", 0), 0u) << run_all.trace.front();
   ASSERT_NE(run_sampled.trace.front().rfind("error:", 0), 0u) << run_sampled.trace.front();
   EXPECT_EQ(run_all.delivered, 120u);
@@ -458,9 +458,9 @@ TEST(BusstatScenario, SamplingThinsTraceTrafficButNotGoodput) {
 }
 
 TEST(BusstatScenario, AggregatorSeesEveryReporterWithoutDesync) {
-  BusStatScenarioOptions options;
+  scenario::BusStatScenarioOptions options;
   options.messages = 60;
-  BusStatScenario run = RunBusstatWanScenario(7, options);
+  scenario::BusStatScenario run = scenario::RunBusstatWanScenario(7, options);
   ASSERT_NE(run.trace.front().rfind("error:", 0), 0u) << run.trace.front();
   EXPECT_EQ(run.desyncs, 0u);
   EXPECT_GT(run.samples_consumed, 0u);

@@ -13,11 +13,11 @@
 #include "src/bus/daemon.h"
 #include "src/capture/bandwidth.h"
 #include "src/capture/capture.h"
-#include "src/capture/demo.h"
 #include "src/capture/dissect.h"
 #include "src/capture/pcap.h"
 #include "src/capture/reassembly.h"
 #include "src/capture/report.h"
+#include "src/scenario/capture_demo.h"
 #include "src/sim/network.h"
 #include "src/sim/simulator.h"
 #include "src/subject/subject.h"
@@ -224,7 +224,7 @@ TEST(CaptureFilter, KeepsOnlyMatchingSubjects) {
     std::vector<NetworkTap*> taps_;
   } fanout({&all, &orders});
 
-  auto trace = capture::RunCertifiedWanCaptureScenario(42, &fanout);
+  auto trace = scenario::RunCertifiedWanCaptureScenario(42, &fanout);
   ASSERT_FALSE(trace.empty());
   EXPECT_NE(trace.front().rfind("error:", 0), 0u) << trace.front();
   ASSERT_GT(all.frames().size(), 0u);
@@ -244,9 +244,9 @@ TEST(CaptureFilter, KeepsOnlyMatchingSubjects) {
 // different one (mirrors sim_replay_check scenario 6, but at the library level).
 TEST(CaptureDemo, CaptureHashReplaysBitIdentically) {
   CaptureBuffer one, two, other;
-  capture::RunCertifiedWanCaptureScenario(42, &one);
-  capture::RunCertifiedWanCaptureScenario(42, &two);
-  capture::RunCertifiedWanCaptureScenario(59, &other);
+  scenario::RunCertifiedWanCaptureScenario(42, &one);
+  scenario::RunCertifiedWanCaptureScenario(42, &two);
+  scenario::RunCertifiedWanCaptureScenario(59, &other);
   ASSERT_GT(one.frames().size(), 0u);
   EXPECT_EQ(one.Hash(), two.Hash());
   EXPECT_EQ(one.frames().size(), two.frames().size());
@@ -258,7 +258,7 @@ TEST(CaptureDemo, CaptureHashReplaysBitIdentically) {
 // dropped records it repaired.
 TEST(CaptureDemo, ReassemblerAttributesRetransmitsToDrops) {
   CaptureBuffer buf;
-  capture::RunCertifiedWanCaptureScenario(42, &buf);
+  scenario::RunCertifiedWanCaptureScenario(42, &buf);
   EXPECT_GT(CountFate(buf.frames(), FrameFate::kDroppedFault), 0u);
 
   capture::ReassemblyReport r = capture::Reassemble(buf.frames());
@@ -343,7 +343,7 @@ TEST(CaptureDemo, JitterReorderingShowsInGapAnnotations) {
 // canonical hash covers all fields the reports read).
 TEST(CaptureFile, RoundTripPreservesHash) {
   CaptureBuffer buf;
-  capture::RunCertifiedWanCaptureScenario(42, &buf);
+  scenario::RunCertifiedWanCaptureScenario(42, &buf);
   ASSERT_GT(buf.frames().size(), 0u);
 
   Bytes blob = capture::SerializeCapture(buf.frames());
@@ -373,7 +373,7 @@ TEST(CaptureFile, RejectsCorruptHeaders) {
 // 44-byte sim-metadata pseudo-header, in fate-time order.
 TEST(CapturePcap, SerializesStandardPcap) {
   CaptureBuffer buf;
-  capture::RunCertifiedWanCaptureScenario(42, &buf);
+  scenario::RunCertifiedWanCaptureScenario(42, &buf);
   const std::vector<CapturedFrame>& frames = buf.frames();
   ASSERT_GT(frames.size(), 0u);
 
@@ -410,7 +410,7 @@ TEST(CapturePcap, SerializesStandardPcap) {
 // nonzero retransmit share plus nonzero internal (_ibus.) traffic.
 TEST(CaptureBandwidth, SharesAreExactAndRetransmitIsNonzero) {
   CaptureBuffer buf;
-  capture::RunCertifiedWanCaptureScenario(42, &buf);
+  scenario::RunCertifiedWanCaptureScenario(42, &buf);
   capture::ReassemblyReport r = capture::Reassemble(buf.frames());
   capture::BandwidthReport bw = capture::AccountBandwidth(buf.frames(), r);
 
@@ -436,7 +436,7 @@ TEST(CaptureBandwidth, SharesAreExactAndRetransmitIsNonzero) {
 // JSONL stream ends with the capture hash line.
 TEST(CaptureReport, RendersDeterministically) {
   CaptureBuffer buf;
-  capture::RunCertifiedWanCaptureScenario(42, &buf);
+  scenario::RunCertifiedWanCaptureScenario(42, &buf);
   capture::ReportOptions opts;
   opts.max_frames = 5;
   opts.with_trees = true;
@@ -451,7 +451,7 @@ TEST(CaptureReport, RendersDeterministically) {
 // The dissector understands both application and reserved-namespace traffic.
 TEST(CaptureDissect, ClassifiesApplicationAndInternalTraffic) {
   CaptureBuffer buf;
-  capture::RunCertifiedWanCaptureScenario(42, &buf);
+  scenario::RunCertifiedWanCaptureScenario(42, &buf);
   bool saw_orders = false, saw_internal = false, saw_heartbeat = false;
   for (const CapturedFrame& f : buf.frames()) {
     capture::Dissection d = capture::DissectFrame(f.payload);

@@ -87,6 +87,15 @@ TEST(LintcoreScrub, UnterminatedLiteralStopsAtLineEnd) {
   EXPECT_EQ(s.ColOf(x), 1);
 }
 
+TEST(LintcoreScrub, EscapedNewlineInLiteralStartsALine) {
+  const std::string src = "const char* s = \"abc\\\ndef\";\nint x = 1;\n";
+  Scrubbed s = Scrub(src);
+  EXPECT_EQ(s.literals.at(src.find('"')), "abc\\\ndef");
+  size_t x = s.code.find("int x = 1;");
+  ASSERT_NE(x, std::string::npos);
+  EXPECT_EQ(s.LineOf(x), 3);
+}
+
 TEST(LintcoreHead, OperatorAndDestructorNames) {
   HeadInfo call = Head("void operator()(int x) const ");
   ASSERT_EQ(call.kind, HeadInfo::kFunction);

@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "src/bus/message.h"
-#include "src/prof/demo.h"
+#include "src/scenario/prof_demo.h"
 #include "src/prof/profiler.h"
 #include "src/prof/sim_profiler.h"
 #include "src/prof/stages.h"
@@ -18,6 +18,8 @@
 namespace ibus::prof {
 namespace {
 
+using scenario::ProfiledScenario;
+using scenario::RunProfiledWanScenario;
 using telemetry::HopKind;
 using telemetry::HopRecord;
 

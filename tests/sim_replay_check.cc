@@ -16,44 +16,37 @@
 #include "src/bus/daemon.h"
 #include "src/capture/bandwidth.h"
 #include "src/capture/capture.h"
-#include "src/capture/demo.h"
 #include "src/capture/reassembly.h"
+#include "src/common/hash.h"
 #include "src/common/rng.h"
-#include "src/journal/demo.h"
 #include "src/journal/journal.h"
-#include "src/prof/demo.h"
 #include "src/prof/stages.h"
 #include "src/router/router.h"
+#include "src/scenario/busstat_demo.h"
+#include "src/scenario/capture_demo.h"
+#include "src/scenario/journal_demo.h"
+#include "src/scenario/prof_demo.h"
+#include "src/scenario/testbed.h"
 #include "src/services/health_monitor.h"
 #include "src/sim/network.h"
 #include "src/sim/simulator.h"
 #include "src/sim/stable_store.h"
 #include "src/telemetry/busmon.h"
 #include "src/telemetry/busstat.h"
-#include "src/telemetry/busstat_demo.h"
-#include "src/telemetry/collector.h"
 #include "src/telemetry/health.h"
 
 namespace ibus {
 namespace {
 
+using scenario::DeliveryLine;
+
 // FNV-1a over the concatenated trace records (order-sensitive by construction).
 uint64_t HashTrace(const std::vector<std::string>& events) {
-  uint64_t h = 1469598103934665603ull;
+  uint64_t h = kFnvOffset;
   for (const std::string& e : events) {
-    for (char c : e) {
-      h ^= static_cast<uint8_t>(c);
-      h *= 1099511628211ull;
-    }
-    h ^= '\n';
-    h *= 1099511628211ull;
+    h = Fnv1a("\n", Fnv1a(e, h));
   }
   return h;
-}
-
-std::string Record(SimTime t, const std::string& who, const Message& m) {
-  return "t=" + std::to_string(t) + " " + who + " subj=" + m.subject +
-         " payload=" + ToString(m.payload);
 }
 
 std::unique_ptr<BusClient> MustConnect(Network* net, HostId host, const std::string& name) {
@@ -86,10 +79,10 @@ std::vector<std::string> RunBusDeliveryScenario(uint64_t seed) {
   auto wide = MustConnect(&net, hosts[1], "wide");
   auto narrow = MustConnect(&net, hosts[2], "narrow");
   EXPECT_TRUE(wide->Subscribe("market.>", [&](const Message& m) {
-                    trace.push_back(Record(sim.Now(), "wide", m));
+                    trace.push_back(DeliveryLine(sim.Now(), "wide", m));
                   }).ok());
   EXPECT_TRUE(narrow->Subscribe("market.*.gmc", [&](const Message& m) {
-                      trace.push_back(Record(sim.Now(), "narrow", m));
+                      trace.push_back(DeliveryLine(sim.Now(), "narrow", m));
                     }).ok());
   sim.RunFor(200 * kMillisecond);
 
@@ -113,48 +106,22 @@ std::vector<std::string> RunBusDeliveryScenario(uint64_t seed) {
 // --- Scenario 2: two LANs joined by an information-router pair over the WAN --------
 
 std::vector<std::string> RunRouterWanScenario(uint64_t seed) {
-  Simulator sim;
-  Network net(&sim, seed);
-  SegmentId lan_a = net.AddSegment();
-  SegmentId lan_b = net.AddSegment();
-  std::vector<HostId> a_hosts, b_hosts;
-  std::vector<std::unique_ptr<BusDaemon>> daemons;
-  for (int i = 0; i < 2; ++i) {
-    a_hosts.push_back(net.AddHost("a" + std::to_string(i), lan_a));
-    b_hosts.push_back(net.AddHost("b" + std::to_string(i), lan_b));
-  }
-  for (HostId h : a_hosts) {
-    auto d = BusDaemon::Start(&net, h, BusConfig());
-    EXPECT_TRUE(d.ok());
-    daemons.push_back(d.take());
-  }
-  for (HostId h : b_hosts) {
-    auto d = BusDaemon::Start(&net, h, BusConfig());
-    EXPECT_TRUE(d.ok());
-    daemons.push_back(d.take());
-  }
+  auto bed = scenario::WanTestbed::Start(seed, BusConfig()).take();
+  Simulator& sim = bed->sim();
   FaultPlan jitter;
   jitter.jitter_us = 150;
-  net.SetFaultPlan(lan_a, jitter);
-  net.SetFaultPlan(lan_b, jitter);
-
-  auto router_bus_a = MustConnect(&net, a_hosts[0], "_router:A");
-  auto router_bus_b = MustConnect(&net, b_hosts[0], "_router:B");
-  auto ra = InfoRouter::Listen(router_bus_a.get(), "_router:A", 8700);
-  EXPECT_TRUE(ra.ok()) << ra.status().ToString();
-  sim.RunFor(50 * kMillisecond);
-  auto rb = InfoRouter::Connect(router_bus_b.get(), "_router:B", a_hosts[0], 8700);
-  EXPECT_TRUE(rb.ok()) << rb.status().ToString();
+  bed->SetFaults(jitter);  // on before the handshake: the routers connect under jitter
+  EXPECT_TRUE(bed->ConnectRouters().ok());
   sim.RunFor(200 * kMillisecond);
 
   std::vector<std::string> trace;
-  auto sub = MustConnect(&net, b_hosts[1], "consumer-b");
+  auto sub = MustConnect(&bed->net(), bed->b1(), "consumer-b");
   EXPECT_TRUE(sub->Subscribe("news.>", [&](const Message& m) {
-                   trace.push_back(Record(sim.Now(), "consumer-b", m));
+                   trace.push_back(DeliveryLine(sim.Now(), "consumer-b", m));
                  }).ok());
   sim.RunFor(500 * kMillisecond);  // subscription event + advert cross the WAN
 
-  auto pub = MustConnect(&net, a_hosts[1], "publisher-a");
+  auto pub = MustConnect(&bed->net(), bed->a1(), "publisher-a");
   Rng workload(seed + 2);
   for (int i = 0; i < 20; ++i) {
     EXPECT_TRUE(pub->Publish(i % 3 == 0 ? "news.equity.gmc" : "news.bond.att",
@@ -163,8 +130,8 @@ std::vector<std::string> RunRouterWanScenario(uint64_t seed) {
     sim.RunFor(workload.NextInRange(500, 5000));
   }
   sim.RunFor(2 * kSecond);
-  const RouterStats& sa = (*ra)->stats();
-  const RouterStats& sb = (*rb)->stats();
+  const RouterStats& sa = bed->router_a()->stats();
+  const RouterStats& sb = bed->router_b()->stats();
   trace.push_back("routerA forwarded=" + std::to_string(sa.forwarded) +
                   " republished=" + std::to_string(sa.republished) +
                   " adverts=" + std::to_string(sa.adverts_sent));
@@ -191,10 +158,9 @@ std::vector<std::string> RunCertifiedScenario(uint64_t seed) {
 
   std::vector<std::string> trace;
   auto sub_client = MustConnect(&net, hosts[1], "consumer");
-  auto sub = CertifiedSubscriber::Create(sub_client.get(), "orders.>", "consumer",
-                                         [&](const Message& m) {
-                                           trace.push_back(Record(sim.Now(), "consumer", m));
-                                         });
+  auto sub = CertifiedSubscriber::Create(
+      sub_client.get(), "orders.>", "consumer",
+      [&](const Message& m) { trace.push_back(DeliveryLine(sim.Now(), "consumer", m)); });
   EXPECT_TRUE(sub.ok()) << sub.status().ToString();
   sim.RunFor(200 * kMillisecond);
 
@@ -225,94 +191,6 @@ std::vector<std::string> RunCertifiedScenario(uint64_t seed) {
                   " acks=" + std::to_string((*sub)->stats().acks_sent));
   return trace;
 }
-
-// --- Scenario 4: hop traces of certified publishes over a lossy WAN ----------------
-//
-// The telemetry subsystem must itself be deterministic: spans ride the same simulated
-// bus as the traffic they describe, so the reconstructed timelines (and their hashes)
-// must replay bit-identically for a given seed.
-
-#if IBUS_TELEMETRY
-std::vector<std::string> RunTracedCertifiedWanScenario(uint64_t seed) {
-  Simulator sim;
-  Network net(&sim, seed);
-  SegmentId lan_a = net.AddSegment();
-  SegmentId lan_b = net.AddSegment();
-  std::vector<HostId> a_hosts, b_hosts;
-  std::vector<std::unique_ptr<BusDaemon>> daemons;
-  BusConfig config;
-  config.trace_publishes = true;
-  config.trace_sample_period = 1;  // this scenario asserts on complete timelines
-  for (int i = 0; i < 2; ++i) {
-    a_hosts.push_back(net.AddHost("a" + std::to_string(i), lan_a));
-    b_hosts.push_back(net.AddHost("b" + std::to_string(i), lan_b));
-  }
-  for (HostId h : a_hosts) {
-    auto d = BusDaemon::Start(&net, h, config);
-    EXPECT_TRUE(d.ok());
-    daemons.push_back(d.take());
-  }
-  for (HostId h : b_hosts) {
-    auto d = BusDaemon::Start(&net, h, config);
-    EXPECT_TRUE(d.ok());
-    daemons.push_back(d.take());
-  }
-
-  auto router_bus_a = MustConnect(&net, a_hosts[0], "_router:A");
-  auto router_bus_b = MustConnect(&net, b_hosts[0], "_router:B");
-  auto ra = InfoRouter::Listen(router_bus_a.get(), "_router:A", 8700);
-  EXPECT_TRUE(ra.ok()) << ra.status().ToString();
-  sim.RunFor(50 * kMillisecond);
-  auto rb = InfoRouter::Connect(router_bus_b.get(), "_router:B", a_hosts[0], 8700);
-  EXPECT_TRUE(rb.ok()) << rb.status().ToString();
-  sim.RunFor(200 * kMillisecond);
-
-  auto monitor_bus = MustConnect(&net, b_hosts[0], "monitor");
-  auto collector = telemetry::TraceCollector::Create(monitor_bus.get());
-  EXPECT_TRUE(collector.ok()) << collector.status().ToString();
-
-  std::vector<std::string> trace;
-  auto sub_bus = MustConnect(&net, b_hosts[1], "consumer");
-  auto sub = CertifiedSubscriber::Create(sub_bus.get(), "orders.>", "consumer",
-                                         [&](const Message& m) {
-                                           trace.push_back(Record(sim.Now(), "consumer", m));
-                                         });
-  EXPECT_TRUE(sub.ok()) << sub.status().ToString();
-  sim.RunFor(500 * kMillisecond);  // control plane (subs, adverts) crosses the WAN
-
-  // Faults only after the handshake so every replay starts aligned.
-  FaultPlan faults;
-  faults.drop_prob = 0.10;
-  faults.jitter_us = 300;
-  net.SetFaultPlan(lan_a, faults);
-  net.SetFaultPlan(lan_b, faults);
-
-  // The producer's own client must carry trace_publishes too — trace ids are
-  // assigned client-side, not by the daemon.
-  auto pub_bus_r = BusClient::Connect(&net, a_hosts[1], "producer", config);
-  EXPECT_TRUE(pub_bus_r.ok()) << pub_bus_r.status().ToString();
-  auto pub_bus = pub_bus_r.take();
-  MemoryStableStore store;
-  journal::JournalConfig ledger_config;
-  ledger_config.sim = &sim;  // write-through: legacy stable-write timing
-  auto ledger = journal::Journal::Open(&store, ledger_config).take();
-  auto pub = CertifiedPublisher::Create(pub_bus.get(), ledger.get(), "orders-ledger");
-  EXPECT_TRUE(pub.ok()) << pub.status().ToString();
-  for (int i = 0; i < 5; ++i) {
-    EXPECT_TRUE((*pub)->Publish("orders.new", ToBytes("order" + std::to_string(i))).ok());
-    sim.RunFor(100 * kMillisecond);
-  }
-  sim.RunFor(5 * kSecond);
-
-  for (uint64_t id : (*collector)->trace_ids()) {
-    trace.push_back((*collector)->RenderTimeline(id));
-  }
-  trace.push_back("records=" + std::to_string((*collector)->records_received()) +
-                  " traces=" + std::to_string((*collector)->trace_count()) +
-                  " all_hash=" + std::to_string((*collector)->AllTracesHash()));
-  return trace;
-}
-#endif  // IBUS_TELEMETRY
 
 // --- Scenario 5: the health plane under a loss episode ------------------------------
 //
@@ -448,7 +326,7 @@ std::vector<std::string> RunHealthPlaneScenario(uint64_t seed) {
 
 std::vector<std::string> RunCaptureScenario(uint64_t seed) {
   capture::CaptureBuffer buf;
-  std::vector<std::string> trace = capture::RunCertifiedWanCaptureScenario(seed, &buf);
+  std::vector<std::string> trace = scenario::RunCertifiedWanCaptureScenario(seed, &buf);
   trace.push_back("capture records=" + std::to_string(buf.frames().size()) +
                   " seen=" + std::to_string(buf.frames_seen()) +
                   " hash=" + std::to_string(buf.Hash()));
@@ -458,7 +336,7 @@ std::vector<std::string> RunCaptureScenario(uint64_t seed) {
   return trace;
 }
 
-// --- Scenarios 7-9: the journal crash/recovery family (src/journal/demo.cc) --------
+// --- Scenarios 7-9: the journal crash/recovery family (src/scenario/journal_demo.cc)
 //
 // Each scenario kills components mid-flight (daemon, routers, publisher), recovers
 // from the surviving journal device, and folds deliveries, recovery health events,
@@ -466,28 +344,31 @@ std::vector<std::string> RunCaptureScenario(uint64_t seed) {
 
 std::vector<std::string> RunJournalDaemonCrashScenario(uint64_t seed) {
   MemoryStableStore device;
-  return journal::RunDaemonCrashScenario(seed, &device);
+  return scenario::RunDaemonCrashScenario(seed, &device);
 }
 
 std::vector<std::string> RunJournalRouterCrashScenario(uint64_t seed) {
   MemoryStableStore device;
-  return journal::RunRouterCrashScenario(seed, &device);
+  return scenario::RunRouterCrashScenario(seed, &device);
 }
 
 std::vector<std::string> RunJournalTailTruncationScenario(uint64_t seed) {
-  return journal::RunTailTruncationScenario(seed);
+  return scenario::RunTailTruncationScenario(seed);
 }
 
-// --- Scenario 10: busprof critical-path profiles (src/prof/demo.cc) ----------------
+// --- Scenario 10: busprof critical-path profiles (src/scenario/prof_demo.cc) ----------
 //
 // The profiler joins three deterministic planes — hop timelines, capture fates, and
 // queue gauges — so its JSON and collapsed-stack reports must be bit-identical per
 // seed. The trace folds in the complete reports (not just their hash) so any drift
 // in stage attribution, rendering, or gauge values trips the gate with a diff.
+// The trace also carries the consumer deliveries, every hop timeline, and the
+// collector's records/all_hash line, so this is also the traced certified-WAN
+// replay gate.
 
 #if IBUS_TELEMETRY
 std::vector<std::string> RunBusprofScenario(uint64_t seed) {
-  prof::ProfiledScenario run = prof::RunProfiledWanScenario(seed);
+  scenario::ProfiledScenario run = scenario::RunProfiledWanScenario(seed);
   std::vector<std::string> trace = run.trace;
   trace.push_back("busprof json=" + run.json);
   trace.push_back("busprof collapsed=" + run.collapsed);
@@ -495,7 +376,7 @@ std::vector<std::string> RunBusprofScenario(uint64_t seed) {
 }
 #endif  // IBUS_TELEMETRY
 
-// --- Scenario 11: the busstat stats plane (src/telemetry/busstat_demo.cc) ----------
+// --- Scenario 11: the busstat stats plane (src/scenario/busstat_demo.cc) -----------
 //
 // The scale-ready telemetry plane joins sketches, delta-encoded time series, and
 // publisher-side trace sampling — all of which must replay bit-identically: the
@@ -505,7 +386,7 @@ std::vector<std::string> RunBusprofScenario(uint64_t seed) {
 // determinism contract must hold under sampling, not just with tracing saturated.
 
 std::vector<std::string> RunBusstatScenario(uint64_t seed) {
-  telemetry::BusStatScenario run = telemetry::RunBusstatWanScenario(seed);
+  scenario::BusStatScenario run = scenario::RunBusstatWanScenario(seed);
   std::vector<std::string> trace = run.trace;
   trace.push_back("busstat json=" + run.json);
   trace.push_back("busstat table=" + run.table);
@@ -545,11 +426,6 @@ TEST(SimReplayCheck, CertifiedDeliveryIsDeterministic) {
 }
 
 #if IBUS_TELEMETRY
-TEST(SimReplayCheck, TracedCertifiedWanIsDeterministic) {
-  CheckReplay("traced_certified_wan", &RunTracedCertifiedWanScenario, 42);
-  CheckReplay("traced_certified_wan", &RunTracedCertifiedWanScenario, 1993);
-}
-
 TEST(SimReplayCheck, HealthPlaneIsDeterministic) {
   CheckReplay("health_plane", &RunHealthPlaneScenario, 42);
   CheckReplay("health_plane", &RunHealthPlaneScenario, 1993);
@@ -597,7 +473,7 @@ TEST(SimReplayCheck, WireCaptureIsDeterministic) {
 // retransmit share in the bandwidth breakdown.
 TEST(SimReplayCheck, CaptureShowsRetransmitShareAttributedToDrops) {
   capture::CaptureBuffer buf;
-  auto trace = capture::RunCertifiedWanCaptureScenario(42, &buf);
+  auto trace = scenario::RunCertifiedWanCaptureScenario(42, &buf);
   ASSERT_FALSE(trace.empty());
   ASSERT_NE(trace.front().rfind("error:", 0), 0u) << trace.front();
 
@@ -625,7 +501,7 @@ TEST(SimReplayCheck, BusprofProfileIsDeterministic) {
 // decomposition sums exactly to the measured end-to-end latency, and the explicit
 // unattributed residue stays under 1% on the stock scenario.
 TEST(SimReplayCheck, BusprofStagesReconcileWithEndToEndLatency) {
-  prof::ProfiledScenario run = prof::RunProfiledWanScenario(42);
+  scenario::ProfiledScenario run = scenario::RunProfiledWanScenario(42);
   ASSERT_GT(run.paths.size(), 0u);
   for (const prof::PathProfile& p : run.paths) {
     EXPECT_EQ(p.stages.total_us(), p.end_to_end_us)
@@ -656,7 +532,7 @@ TEST(SimReplayCheck, JournalTailTruncationIsDeterministic) {
 // (dedup absorbs the post-recovery resends), and leave a verifiably clean journal.
 TEST(SimReplayCheck, JournalDaemonCrashRecoversExactlyOnce) {
   MemoryStableStore device;
-  auto trace = journal::RunDaemonCrashScenario(42, &device);
+  auto trace = scenario::RunDaemonCrashScenario(42, &device);
   ASSERT_FALSE(trace.empty());
   ASSERT_NE(trace.front().rfind("error:", 0), 0u) << trace.front();
   for (int i = 0; i < 8; ++i) {
@@ -694,7 +570,7 @@ TEST(SimReplayCheck, JournalDaemonCrashRecoversExactlyOnce) {
 // across the routers exactly once: queued traffic rides the recovered retransmits.
 TEST(SimReplayCheck, JournalRouterCrashDrainsQueuedTraffic) {
   MemoryStableStore device;
-  auto trace = journal::RunRouterCrashScenario(42, &device);
+  auto trace = scenario::RunRouterCrashScenario(42, &device);
   ASSERT_FALSE(trace.empty());
   ASSERT_NE(trace.front().rfind("error:", 0), 0u) << trace.front();
   for (int i = 0; i < 8; ++i) {
@@ -720,7 +596,7 @@ TEST(SimReplayCheck, JournalRouterCrashDrainsQueuedTraffic) {
 // Every fuzzed cut must be detected (exactly one torn block), repaired, and leave a
 // clean device; the final cut recovers end to end and new publishes still flow.
 TEST(SimReplayCheck, JournalTailTruncationStopsAtLastValidLsn) {
-  auto trace = journal::RunTailTruncationScenario(42);
+  auto trace = scenario::RunTailTruncationScenario(42);
   ASSERT_FALSE(trace.empty());
   ASSERT_NE(trace.front().rfind("error:", 0), 0u) << trace.front();
   size_t fuzz_lines = 0;
@@ -755,7 +631,7 @@ TEST(SimReplayCheck, BusstatStatsPlaneIsDeterministic) {
 // below it), the fleet self-overhead stays under the 5% budget at the default
 // 1/64 sampling, and the workload itself is unharmed (all 300 publishes land).
 TEST(SimReplayCheck, BusstatOverheadStaysUnderBudget) {
-  telemetry::BusStatScenario run = telemetry::RunBusstatWanScenario(42);
+  scenario::BusStatScenario run = scenario::RunBusstatWanScenario(42);
   ASSERT_FALSE(run.trace.empty());
   ASSERT_NE(run.trace.front().rfind("error:", 0), 0u) << run.trace.front();
   EXPECT_EQ(run.delivered, 300u);

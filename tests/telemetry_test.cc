@@ -11,7 +11,7 @@
 
 #include "src/bus/certified.h"
 #include "src/journal/journal.h"
-#include "src/router/router.h"
+#include "src/scenario/testbed.h"
 #include "src/sim/stable_store.h"
 #include "src/telemetry/collector.h"
 #include "src/telemetry/metrics.h"
@@ -198,7 +198,6 @@ TEST_F(TelemetryBusTest, ApplicationPublishesCannotEnterReservedNamespace) {
 
 TEST_F(TelemetryBusTest, TracedPublishYieldsFullHopTimeline) {
   BusConfig config;
-  config.trace_publishes = true;
   config.trace_sample_period = 1;
   SetUpBus(3, config);
   auto monitor = MakeClient(0, "monitor");
@@ -247,7 +246,6 @@ TEST_F(TelemetryBusTest, TracedPublishYieldsFullHopTimeline) {
 
 TEST_F(TelemetryBusTest, UntracedAndInternalTrafficEmitsNoSpans) {
   BusConfig config;
-  config.trace_publishes = true;
   config.trace_sample_period = 1;
   SetUpBus(2, config);
   auto monitor = MakeClient(0, "monitor");
@@ -269,7 +267,6 @@ TEST_F(TelemetryBusTest, UntracedAndInternalTrafficEmitsNoSpans) {
 
 TEST_F(TelemetryBusTest, CollectorEvictsLeastRecentTraceAtCap) {
   BusConfig config;
-  config.trace_publishes = true;
   config.trace_sample_period = 1;
   SetUpBus(2, config);
   auto monitor = MakeClient(0, "monitor");
@@ -308,7 +305,6 @@ TEST_F(TelemetryBusTest, CollectorEvictsLeastRecentTraceAtCap) {
 
 TEST_F(TelemetryBusTest, CollectorEvictionUnderSamplingTracksSampledSubsetOnly) {
   BusConfig config;
-  config.trace_publishes = true;
   config.trace_sample_period = 4;
   SetUpBus(2, config);
   auto monitor = MakeClient(0, "monitor");
@@ -352,42 +348,23 @@ TEST_F(TelemetryBusTest, CollectorEvictionUnderSamplingTracksSampledSubsetOnly) 
 // --- Certified publish across the WAN under loss -----------------------------------
 
 TEST(TelemetryWanTest, CertifiedWanTraceIsComplete) {
-  Simulator sim;
-  Network net(&sim, 42);
-  SegmentId lan_a = net.AddSegment();
-  SegmentId lan_b = net.AddSegment();
-  HostId a0 = net.AddHost("a0", lan_a);
-  HostId a1 = net.AddHost("a1", lan_a);
-  HostId b0 = net.AddHost("b0", lan_b);
-  HostId b1 = net.AddHost("b1", lan_b);
   BusConfig config;
-  config.trace_publishes = true;
   config.trace_sample_period = 1;
-  std::vector<std::unique_ptr<BusDaemon>> daemons;
-  for (HostId h : {a0, a1, b0, b1}) {
-    auto d = BusDaemon::Start(&net, h, config);
-    ASSERT_TRUE(d.ok());
-    daemons.push_back(d.take());
-  }
+  auto bed = scenario::WanTestbed::Start(42, config).take();
+  Simulator& sim = bed->sim();
   auto connect = [&](HostId h, const std::string& name) {
-    auto c = BusClient::Connect(&net, h, name, config);
+    auto c = BusClient::Connect(&bed->net(), h, name, config);
     EXPECT_TRUE(c.ok());
     return c.take();
   };
-  auto router_bus_a = connect(a0, "_router:A");
-  auto router_bus_b = connect(b0, "_router:B");
-  auto ra = InfoRouter::Listen(router_bus_a.get(), "_router:A", 8700);
-  ASSERT_TRUE(ra.ok());
-  sim.RunFor(50 * kMillisecond);
-  auto rb = InfoRouter::Connect(router_bus_b.get(), "_router:B", a0, 8700);
-  ASSERT_TRUE(rb.ok());
+  ASSERT_TRUE(bed->ConnectRouters().ok());
   sim.RunFor(200 * kMillisecond);
 
-  auto monitor_bus = connect(b0, "monitor");
+  auto monitor_bus = connect(bed->b0(), "monitor");
   auto collector = TraceCollector::Create(monitor_bus.get());
   ASSERT_TRUE(collector.ok());
 
-  auto sub_bus = connect(b1, "consumer");
+  auto sub_bus = connect(bed->b1(), "consumer");
   int got = 0;
   auto sub = CertifiedSubscriber::Create(sub_bus.get(), "orders.>", "consumer",
                                          [&](const Message&) { ++got; });
@@ -398,10 +375,9 @@ TEST(TelemetryWanTest, CertifiedWanTraceIsComplete) {
   FaultPlan faults;
   faults.drop_prob = 0.10;
   faults.jitter_us = 300;
-  net.SetFaultPlan(lan_a, faults);
-  net.SetFaultPlan(lan_b, faults);
+  bed->SetFaults(faults);
 
-  auto pub_bus = connect(a1, "producer");
+  auto pub_bus = connect(bed->a1(), "producer");
   MemoryStableStore store;
   journal::JournalConfig ledger_config;
   ledger_config.sim = &sim;  // write-through: legacy stable-write timing

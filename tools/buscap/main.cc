@@ -1,10 +1,11 @@
 // buscap: wire-level capture analysis for the simulated bus — the tcpdump/tshark
 // companion to busmon's live console. It either replays the canonical certified-WAN
-// demo scenario with a tap attached (--demo) or loads a capture file (--in), then
-// renders deterministic reports: a text report with per-frame dissections, reliable
-// -stream reassembly (retransmits attributed to the drops that caused them), and the
-// per-segment bandwidth breakdown; a JSONL stream for machines; a pcap export for
-// Wireshark; or just the capture hash for replay comparison.
+// demo scenario (src/scenario/capture_demo.cc) with a tap attached (--demo) or
+// loads a capture file (--in), then renders deterministic reports: a text report
+// with per-frame dissections, reliable-stream reassembly (retransmits attributed
+// to the drops that caused them), and the per-segment bandwidth breakdown; a JSONL
+// stream for machines; a pcap export for Wireshark; or just the capture hash for
+// replay comparison.
 //
 //   buscap --demo --report                 # capture the demo run, full text report
 //   buscap --demo --seed 7 --out run.ibcp  # save the raw capture file
@@ -19,9 +20,9 @@
 #include <vector>
 
 #include "src/capture/capture.h"
-#include "src/capture/demo.h"
 #include "src/capture/pcap.h"
 #include "src/capture/report.h"
+#include "src/scenario/capture_demo.h"
 
 using namespace ibus;  // NOLINT: tool brevity
 
@@ -99,7 +100,7 @@ int main(int argc, char** argv) {
   std::vector<CapturedFrame> frames;
   if (demo) {
     std::vector<std::string> trace =
-        capture::RunCertifiedWanCaptureScenario(seed, &buffer);
+        scenario::RunCertifiedWanCaptureScenario(seed, &buffer);
     if (!trace.empty() && trace.front().rfind("error:", 0) == 0) {
       std::fprintf(stderr, "buscap: demo scenario failed: %s\n",
                    trace.front().c_str());

@@ -2,7 +2,8 @@
 // fsck/debugfs companion to the in-process journal. It dumps ledger records as
 // JSONL, verifies block integrity (magic, CRCs, LSN continuity, segment order)
 // without touching the file, compacts retired history in place, or replays the
-// daemon-crash demo scenario against a real ledger file.
+// daemon-crash demo scenario (src/scenario/journal_demo.cc) against a real ledger
+// file.
 //
 //   busjournal --demo --out run.ledger     # crash/recovery demo onto a real file
 //   busjournal --verify run.ledger         # read-only integrity report (exit 1 if dirty)
@@ -14,9 +15,9 @@
 #include <string>
 #include <vector>
 
-#include "src/journal/demo.h"
 #include "src/journal/format.h"
 #include "src/journal/journal.h"
+#include "src/scenario/journal_demo.h"
 #include "src/sim/stable_store.h"
 
 using namespace ibus;  // NOLINT: tool brevity
@@ -240,7 +241,7 @@ int Demo(uint64_t seed, const std::string& out_path) {
     std::fprintf(stderr, "busjournal: %s\n", store.status().ToString().c_str());
     return 1;
   }
-  std::vector<std::string> trace = journal::RunDaemonCrashScenario(seed, store->get());
+  std::vector<std::string> trace = scenario::RunDaemonCrashScenario(seed, store->get());
   for (const std::string& line : trace) {
     std::printf("%s\n", line.c_str());
   }

@@ -36,7 +36,7 @@ bool PathIsDeterministicCore(const std::string& rel_path) {
   return StartsWith(rel_path, "src/sim/") || StartsWith(rel_path, "src/bus/") ||
          StartsWith(rel_path, "src/router/") || StartsWith(rel_path, "src/capture/") ||
          StartsWith(rel_path, "src/journal/") || StartsWith(rel_path, "src/prof/") ||
-         StartsWith(rel_path, "src/telemetry/");
+         StartsWith(rel_path, "src/scenario/") || StartsWith(rel_path, "src/telemetry/");
 }
 
 void CheckNondeterminism(const std::string& rel_path, const Source& s,

@@ -1,12 +1,12 @@
 // busprof: critical-path latency profiler for the simulated bus. Replays the
-// canonical certified-WAN demo scenario with publish tracing on, a wire tap
-// attached, and the simulator event core observed, then decomposes every traced
-// delivery's end-to-end latency into the exact stage taxonomy of src/prof
-// (publish_loopback / daemon_queue / medium_transit / router_forward /
-// router_republish / retransmit_repair / deliver_loopback / unattributed). The
-// stage sums reconcile exactly — integer microseconds — against the measured
-// end-to-end latency, and every output is bit-identical across replays of one
-// seed.
+// canonical certified-WAN demo scenario (src/scenario/prof_demo.cc) with publish
+// tracing on, a wire tap attached, and the simulator event core observed, then
+// decomposes every traced delivery's end-to-end latency into the exact stage
+// taxonomy of src/prof (publish_loopback / daemon_queue / medium_transit /
+// router_forward / router_republish / retransmit_repair / deliver_loopback /
+// unattributed). The stage sums reconcile exactly — integer microseconds —
+// against the measured end-to-end latency, and every output is bit-identical
+// across replays of one seed.
 //
 //   busprof --json                  # full JSON report (paths, stages, queues, event core)
 //   busprof --collapsed             # flamegraph-collapsed stacks (stackcollapse format)
@@ -18,7 +18,7 @@
 #include <cstring>
 #include <string>
 
-#include "src/prof/demo.h"
+#include "src/scenario/prof_demo.h"
 
 using namespace ibus;  // NOLINT: tool brevity
 
@@ -84,7 +84,7 @@ int main(int argc, char** argv) {
     return Usage(argv[0]);
   }
 
-  prof::ProfiledScenario run = prof::RunProfiledWanScenario(seed);
+  scenario::ProfiledScenario run = scenario::RunProfiledWanScenario(seed);
   if (!run.trace.empty() && run.trace.front().rfind("error:", 0) == 0) {
     std::fprintf(stderr, "busprof: demo scenario failed: %s\n", run.trace.front().c_str());
     return 1;

@@ -1,10 +1,11 @@
 // busstat: fleet stats console for the scale-ready telemetry plane. Replays the
-// canonical busstat WAN scenario (two LANs joined by an information-router pair,
-// plain pub/sub workload, trace sampling on, a BusStatReporter beside every daemon
-// and router) and renders the StatsAggregator's merged fleet view: summed
-// counters, merged log-bucket quantiles, top-k heavy-hitter tables, and the
-// telemetry plane's self-measured overhead ratio. Every output is bit-identical
-// across replays of one seed — that's the contract the replay gate pins.
+// canonical busstat WAN scenario (src/scenario/busstat_demo.cc: two LANs joined by
+// an information-router pair, plain pub/sub workload, trace sampling on, a
+// BusStatReporter beside every daemon and router) and renders the StatsAggregator's
+// merged fleet view: summed counters, merged log-bucket quantiles, top-k
+// heavy-hitter tables, and the telemetry plane's self-measured overhead ratio.
+// Every output is bit-identical across replays of one seed — that's the contract
+// the replay gate pins.
 //
 //   busstat --json                  # merged fleet view (schema BUSSTAT_1)
 //   busstat --table                 # operator console rendering
@@ -17,7 +18,7 @@
 #include <cstring>
 #include <string>
 
-#include "src/telemetry/busstat_demo.h"
+#include "src/scenario/busstat_demo.h"
 
 using namespace ibus;  // NOLINT: tool brevity
 
@@ -59,7 +60,7 @@ int WriteOrPrint(const std::string& out_path, const std::string& text) {
 int main(int argc, char** argv) {
   bool json = false, table = false, hash_only = false, trace = false;
   uint64_t seed = 42;
-  telemetry::BusStatScenarioOptions options;
+  scenario::BusStatScenarioOptions options;
   std::string out_path;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
@@ -88,7 +89,7 @@ int main(int argc, char** argv) {
     return Usage(argv[0]);
   }
 
-  telemetry::BusStatScenario run = telemetry::RunBusstatWanScenario(seed, options);
+  scenario::BusStatScenario run = scenario::RunBusstatWanScenario(seed, options);
   if (!run.trace.empty() && run.trace.front().rfind("error:", 0) == 0) {
     std::fprintf(stderr, "busstat: demo scenario failed: %s\n", run.trace.front().c_str());
     return 1;

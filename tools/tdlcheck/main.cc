@@ -8,12 +8,11 @@
 // change, 2 usage or I/O error.
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "src/lintcore/lintcore.h"
 #include "src/tdl/parser.h"
 #include "src/tdlcheck/tdlcheck.h"
 
@@ -21,21 +20,8 @@ namespace fs = std::filesystem;
 
 namespace {
 
-bool ReadFile(const fs::path& p, std::string* out) {
-  std::ifstream in(p, std::ios::binary);
-  if (!in) {
-    return false;
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  *out = buf.str();
-  return true;
-}
-
-bool IsCppSource(const fs::path& p) {
-  const std::string ext = p.extension().string();
-  return ext == ".h" || ext == ".cc" || ext == ".cpp" || ext == ".hpp";
-}
+using ibus::lintcore::IsCppSource;
+using ibus::lintcore::ReadFile;
 
 // One R"tdl(...)tdl" block found in a C++ source.
 struct EmbeddedScript {
